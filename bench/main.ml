@@ -35,17 +35,7 @@ let pmap f xs =
   | None -> List.map f xs
   | Some pool -> Engine.Pool.map pool f xs
 
-let rooflines =
-  let cache = Hashtbl.create 2 in
-  let mutex = Mutex.create () in
-  fun (m : Hwsim.Machine.t) ->
-    Mutex.protect mutex @@ fun () ->
-    match Hashtbl.find_opt cache m.Hwsim.Machine.name with
-    | Some k -> k
-    | None ->
-      let k = Roofline.microbench m in
-      Hashtbl.add cache m.Hwsim.Machine.name k;
-      k
+let rooflines m = Roofline.for_machine ~ctx:Engine.Ctx.none m
 
 let machines = [ Hwsim.Machine.bdw; Hwsim.Machine.rpl ]
 

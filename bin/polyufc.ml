@@ -246,7 +246,7 @@ let characterize_cmd =
     with_telemetry telemetry @@ fun () ->
     let prog, sizes = load ~workload ~file ~sizes in
     let tiled = Poly_ir.Tiling.tile_program ~tile_size prog in
-    let k = Roofline.microbench machine in
+    let k = Roofline.for_machine ~ctx:Engine.Ctx.none machine in
     let cm =
       Cache_model.Model.analyze ~machine ~apply_thread_heuristic:false tiled
         ~param_values:sizes
@@ -267,7 +267,7 @@ let search_cmd =
     with_telemetry telemetry @@ fun () ->
     Resource_flags.with_ctx res @@ fun ~ctx ->
     let prog, sizes = load ~workload ~file ~sizes in
-    let k = Roofline.microbench machine in
+    let k = Roofline.for_machine ~ctx machine in
     let c =
       Flow.compile ~ctx ~objective ~epsilon ~tile_size ~machine ~rooflines:k
         prog ~param_values:sizes
@@ -288,12 +288,12 @@ let run_cmd =
     with_telemetry telemetry @@ fun () ->
     Resource_flags.with_ctx res @@ fun ~ctx ->
     let prog, sizes = load ~workload ~file ~sizes in
-    let k = Roofline.microbench machine in
+    let k = Roofline.for_machine ~ctx machine in
     let c =
       Flow.compile ~ctx ~objective ~epsilon ~tile_size ~machine ~rooflines:k
         prog ~param_values:sizes
     in
-    let e = Flow.evaluate ~machine c ~param_values:sizes in
+    let e = Flow.evaluate ~ctx ~machine c ~param_values:sizes in
     if json then Report.print_json (Report.json_of_run c e)
     else begin
       Format.printf "%a@." Flow.pp_compiled c;
@@ -411,7 +411,7 @@ let analyze_multi_cmd =
           Fleet.spec ~sizes ~weight ~cores ~name prog)
         tenants
     in
-    let k = Roofline.microbench machine in
+    let k = Roofline.for_machine ~ctx machine in
     let r =
       Fleet.analyze ~ctx ~objective ~epsilon ~tile_size ~solo:(not no_solo)
         ~machine ~rooflines:k specs
@@ -504,7 +504,7 @@ let batch_cmd =
     let entries =
       Engine.Guard.phase "parse" (fun () -> parse_manifest manifest)
     in
-    let k = Roofline.microbench machine in
+    let k = Roofline.for_machine ~ctx machine in
     let compile_one (line, name, sizes) =
       match Workloads.find_opt name with
       | None ->
@@ -1367,9 +1367,11 @@ let cache_cmd =
     Cmd.v
       (Cmd.info "stats"
          ~doc:
-           "Show entry count (total and per kind: numeric vs symbolic), \
-            size on disk, per-tier hit rates, and index/GC health — all \
-            from the store's index, without scanning every entry")
+           (Printf.sprintf
+              "Show entry count (total and per kind: %s), size on disk, \
+               per-tier hit rates, and index/GC health — all from the \
+               store's index, without scanning every entry"
+              (String.concat ", " R.kinds)))
       Term.(const run $ cache_dir_arg $ format_arg $ json_arg)
   in
   let gc_cmd =

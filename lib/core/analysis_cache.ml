@@ -9,39 +9,13 @@
 module J = Telemetry.Json
 module M = Cache_model.Model
 
-let hex_float x = J.Str (Printf.sprintf "%h" x)
-
-let float_of_j = function
-  | J.Str s -> float_of_string_opt s
-  | J.Int i -> Some (float_of_int i)
-  | J.Float f -> Some f
-  | _ -> None
-
 let mode_str = function
   | M.Set_associative -> "set-associative"
   | M.Fully_associative -> "fully-associative"
 
-let machine_fingerprint (m : Hwsim.Machine.t) =
-  let b = Buffer.create 256 in
-  let f fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  f "name=%s;threads=%d;core=%h;umin=%h;umax=%h;ustep=%h;" m.Hwsim.Machine.name
-    m.Hwsim.Machine.threads m.Hwsim.Machine.core_ghz
-    m.Hwsim.Machine.uncore_min_ghz m.Hwsim.Machine.uncore_max_ghz
-    m.Hwsim.Machine.uncore_step_ghz;
-  List.iter
-    (fun (c : Hwsim.Machine.cache_geometry) ->
-      f "cache=%s:%d:%d:%d:%h;" c.Hwsim.Machine.level_name
-        c.Hwsim.Machine.size_bytes c.Hwsim.Machine.line_bytes
-        c.Hwsim.Machine.assoc c.Hwsim.Machine.hit_latency_ns)
-    m.Hwsim.Machine.caches;
-  f "flop=%h;mlp=%h;dlat=%h:%h;dbw=%h:%h;pstat=%h;pcore=%h;punc=%h:%h;dnj=%h;capus=%h"
-    m.Hwsim.Machine.flop_ns m.Hwsim.Machine.mlp m.Hwsim.Machine.dram_lat_a_ns
-    m.Hwsim.Machine.dram_lat_b_ns m.Hwsim.Machine.dram_bw_gbps_per_ghz
-    m.Hwsim.Machine.dram_bw_max_gbps m.Hwsim.Machine.p_static_w
-    m.Hwsim.Machine.core_w_active m.Hwsim.Machine.uncore_w_per_ghz
-    m.Hwsim.Machine.uncore_w_base m.Hwsim.Machine.dram_nj_per_line
-    m.Hwsim.Machine.cap_switch_us;
-  Buffer.contents b
+let params_str param_values =
+  String.concat ","
+    (List.map (fun (p, v) -> Printf.sprintf "%s=%d" p v) param_values)
 
 let cm_key ~machine ~mode ~apply_thread_heuristic ~param_values prog =
   let scop = Poly_ir.Scop.export_isl (Poly_ir.Scop.extract prog) in
@@ -49,13 +23,55 @@ let cm_key ~machine ~mode ~apply_thread_heuristic ~param_values prog =
     [
       ("kind", "polyufc-cm");
       ("scop", scop);
-      ("machine", machine_fingerprint machine);
+      ("machine", Hwsim.Machine.fingerprint machine);
       ("mode", mode_str mode);
       ("threads", string_of_bool apply_thread_heuristic);
-      ( "params",
-        String.concat ","
-          (List.map (fun (p, v) -> Printf.sprintf "%s=%d" p v) param_values) );
+      ("params", params_str param_values);
     ]
+
+(* Everything in the config the simulator reads.  It ignores array
+   values (it replays addresses and flop counts), so [Ir.pp]'s rendering
+   of constants need not be exact; tenant names and QoS weights only
+   label or arbitrate. *)
+let sim_key (cfg : Hwsim.Sim.config) =
+  let module S = Hwsim.Sim in
+  Engine.Rcache.key
+    (("kind", "evaluation")
+     :: ( "uncore",
+          match cfg.S.uncore with
+          | `Fixed f -> Printf.sprintf "fixed=%h" f
+          | `Governor -> "governor" )
+     :: ("governor_us", Printf.sprintf "%h" cfg.S.governor_interval_us)
+     :: List.concat_map
+          (fun (t : S.tenant) ->
+            [
+              ("program", Format.asprintf "%a" Poly_ir.Ir.pp t.S.t_prog);
+              ("params", params_str t.S.t_params);
+              ("cores", string_of_int t.S.t_cores);
+              ( "caps",
+                String.concat ","
+                  (List.map
+                     (fun (v, f) -> Printf.sprintf "%s=%h" v f)
+                     t.S.t_caps) );
+            ])
+          cfg.S.tenants
+    @ [
+        ("machine", Hwsim.Machine.fingerprint cfg.S.machine);
+        ("sim", string_of_int S.version);
+      ])
+
+let evaluation_to_json (baseline, capped) =
+  J.Obj
+    [
+      ("baseline", Hwsim.Sim.outcome_to_json baseline);
+      ("capped", Hwsim.Sim.outcome_to_json capped);
+    ]
+
+let evaluation_of_json j =
+  let outcome k = Option.bind (J.member k j) Hwsim.Sim.outcome_of_json in
+  match (outcome "baseline", outcome "capped") with
+  | Some b, Some c -> Some (b, c)
+  | _ -> None
 
 (* --- encode --- *)
 
@@ -86,18 +102,18 @@ let cm_to_json (r : M.result) =
                        (Array.to_list (Array.map json_of_level sc.M.stmt_levels))
                    );
                    ("flops", J.Int sc.M.stmt_flops);
-                   ("oi", hex_float sc.M.stmt_oi);
+                   ("oi", J.hex_float sc.M.stmt_oi);
                  ])
              r.M.per_stmt) );
       ("threads_divisor", J.Int r.M.threads_divisor);
-      ("miss_llc", hex_float r.M.miss_llc);
-      ("q_dram_bytes", hex_float r.M.q_dram_bytes);
+      ("miss_llc", J.hex_float r.M.miss_llc);
+      ("q_dram_bytes", J.hex_float r.M.q_dram_bytes);
       ("flops", J.Int r.M.flops);
-      ("oi", hex_float r.M.oi);
+      ("oi", J.hex_float r.M.oi);
       ( "hit_ratios",
-        J.Arr (Array.to_list (Array.map hex_float r.M.hit_ratios)) );
+        J.Arr (Array.to_list (Array.map J.hex_float r.M.hit_ratios)) );
       ( "miss_ratios",
-        J.Arr (Array.to_list (Array.map hex_float r.M.miss_ratios)) );
+        J.Arr (Array.to_list (Array.map J.hex_float r.M.miss_ratios)) );
       ("fidelity", J.Str (Engine.Fidelity.to_string r.M.fidelity));
     ]
 
@@ -110,7 +126,7 @@ let int_of = function J.Int i -> i | _ -> raise Bad_shape
 let str_of = function J.Str s -> s | _ -> raise Bad_shape
 
 let flt_of j =
-  match float_of_j j with Some f -> f | None -> raise Bad_shape
+  match J.float_of_hex j with Some f -> f | None -> raise Bad_shape
 
 let arr_of = function J.Arr l -> l | _ -> raise Bad_shape
 

@@ -1,17 +1,16 @@
-(** Content-addressed persistence of PolyUFC-CM analyses.
+(** Content-addressed persistence of PolyUFC-CM analyses ([numeric/v2])
+    and of {!Flow.evaluate}'s simulations ([sim/v1]).
 
-    The cache key is a stable digest of everything the analysis depends
+    The analysis key is a stable digest of everything the analysis depends
     on: the SCoP in isl notation ({!Poly_ir.Scop.export_isl} of the
     program handed to the model — after tiling), a full fingerprint of the
     machine description, the model parameters (associativity mode, thread
     heuristic, parameter bindings), and {!Engine.Rcache.schema_version}.
-    Payloads round-trip {!Cache_model.Model.result} through JSON with
+    The machine fingerprint is {!Hwsim.Machine.fingerprint}.
+    Payloads round-trip {!Cache_model.Model.result} and
+    {!Hwsim.Sim.outcome} through JSON with
     lossless hexadecimal float encoding, so a cache hit reproduces the
     analysis bit-for-bit and downstream reports stay byte-identical. *)
-
-val machine_fingerprint : Hwsim.Machine.t -> string
-(** Every field of the machine description, canonically rendered; any
-    retuning (e.g. {!Hwsim.Machine.with_core_ghz}) changes the key. *)
 
 val cm_key :
   machine:Hwsim.Machine.t ->
@@ -20,6 +19,19 @@ val cm_key :
   param_values:(string * int) list ->
   Poly_ir.Ir.t ->
   string
+
+val sim_key : Hwsim.Sim.config -> string
+(** The [sim/v1] key of a simulation: everything the simulator reads
+    from the config — uncore policy, governor interval, each tenant's
+    program ([Ir.pp]), parameters, cores and caps (as [%h]) — plus the
+    machine fingerprint and {!Hwsim.Sim.version}. *)
+
+val evaluation_to_json :
+  Hwsim.Sim.outcome * Hwsim.Sim.outcome -> Telemetry.Json.t
+(** A [Flow.evaluate] pair (baseline, capped), bit-exact. *)
+
+val evaluation_of_json :
+  Telemetry.Json.t -> (Hwsim.Sim.outcome * Hwsim.Sim.outcome) option
 
 val cm_to_json : Cache_model.Model.result -> Telemetry.Json.t
 

@@ -29,7 +29,7 @@ let search ?(objective = Search.Edp) ?epsilon ?core_freqs ~machine prog
     List.map
       (fun f ->
         let m = Hwsim.Machine.with_core_ghz machine f in
-        let rooflines = Roofline.microbench m in
+        let rooflines = Roofline.for_machine ~ctx:Engine.Ctx.none m in
         let compiled =
           Flow.compile ~objective ?epsilon ~tile:false ~machine:m ~rooflines
             prog ~param_values

@@ -4,9 +4,10 @@
     notes that "PolyUFC remains adaptable and can be used to manage the
     core frequency domain" (Sec. VII-F).  This module realizes that
     extension: for each candidate core frequency the machine description is
-    retuned ({!Hwsim.Machine.with_core_ghz}), the rooflines are refit from
-    scratch (one micro-benchmark campaign per point — exactly the
-    retargetability story of Sec. I), the flow recompiled, and the
+    retuned ({!Hwsim.Machine.with_core_ghz}), the rooflines are refit
+    (one micro-benchmark campaign per retuned machine, through
+    {!Roofline.for_machine} — exactly the retargetability story of
+    Sec. I), the flow recompiled, and the
     (core, uncore-cap) pair with the best model objective selected.
 
     The expected physics: CB kernels keep the core high (compute is the

@@ -101,12 +101,16 @@ type evaluation = {
 }
 
 val evaluate :
+  ?ctx:Engine.Ctx.t ->
   machine:Hwsim.Machine.t ->
   compiled ->
   param_values:(string * int) list ->
   evaluation
 (** Run both the governor baseline and the capped binary on the simulated
-    machine (the paper's Fig. 7 comparison). *)
+    machine (the paper's Fig. 7 comparison).  When [ctx] has a result
+    store, the pair of outcomes is one [sim/v1] entry
+    ({!Analysis_cache.sim_key}) and a hit is bit-identical to the
+    simulations. *)
 
 val pp_compiled : Format.formatter -> compiled -> unit
 val pp_evaluation : Format.formatter -> evaluation -> unit

@@ -279,10 +279,13 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* entry kinds: plain analysis results carry no marker and count as
-   [kind_numeric]; symbolic chamber decompositions are tagged so
-   `cache stats` can report the tiers separately. *)
+   [kind_numeric]; the other kinds are tagged so `cache stats` can report
+   them separately. *)
 let kind_numeric = "numeric/v2"
 let kind_symbolic = "symbolic/v1"
+let kind_roofline = "roofline/v1"
+let kind_sim = "sim/v1"
+let kinds = [ kind_numeric; kind_symbolic; kind_roofline; kind_sim ]
 
 type ixent = {
   mutable x_kind : string;
@@ -1023,7 +1026,7 @@ let find t key =
           bump c_miss t.live.l_misses;
           None)))
 
-let find_or_add t ~key ~decode ~encode f =
+let find_or_add ?kind t ~key ~decode ~encode f =
   match find t key with
   | Some payload -> (
     match decode payload with
@@ -1035,11 +1038,11 @@ let find_or_add t ~key ~decode ~encode f =
       (match t.mem with Some m -> Mem.remove m key | None -> ());
       warn "ignoring undecodable entry %s" key;
       let v = f () in
-      store t key (encode v);
+      store ?kind t key (encode v);
       v)
   | None ->
     let v = f () in
-    store t key (encode v);
+    store ?kind t key (encode v);
     v
 
 (* ------------------------------------------------------------------ *)

@@ -127,6 +127,7 @@ val store : ?kind:string -> t -> string -> Telemetry.Json.t -> unit
     opportunistic {!gc} when the store crosses the watermark. *)
 
 val find_or_add :
+  ?kind:string ->
   t ->
   key:string ->
   decode:(Telemetry.Json.t -> 'a option) ->
@@ -134,7 +135,8 @@ val find_or_add :
   (unit -> 'a) ->
   'a
 (** Memoize [f] under [key]; a [decode] returning [None] counts as a
-    corrupt entry and falls back to computing. *)
+    corrupt entry and falls back to computing.  [kind] tags the stored
+    entry as in {!store}. *)
 
 type stats = { entries : int; bytes : int }
 
@@ -149,6 +151,19 @@ val kind_symbolic : string
 (** ["symbolic/v1"]: chamber-decomposition entries ({!Presburger.Chamber});
     checksummed exactly like numeric entries and subject to the same
     quarantine machinery. *)
+
+val kind_roofline : string
+(** ["roofline/v1"]: a machine's fitted roofline constants
+    ([Roofline.for_machine]), keyed on the machine fingerprint and the
+    simulator version. *)
+
+val kind_sim : string
+(** ["sim/v1"]: the baseline and capped simulator outcomes of one
+    [Flow.evaluate], keyed on the program, parameters, caps, governor
+    interval, machine fingerprint and simulator version. *)
+
+val kinds : string list
+(** Every kind tag above, in that order. *)
 
 val stats_by_kind : t -> (string * stats) list
 (** Entry census per kind tag, from the index (untagged entries count as

@@ -117,6 +117,22 @@ let with_core_ghz m f =
     core_w_active = m.core_w_active *. (r ** 2.2);
   }
 
+let fingerprint m =
+  let b = Buffer.create 256 in
+  let f fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  f "name=%s;threads=%d;core=%h;umin=%h;umax=%h;ustep=%h;" m.name m.threads
+    m.core_ghz m.uncore_min_ghz m.uncore_max_ghz m.uncore_step_ghz;
+  List.iter
+    (fun c ->
+      f "cache=%s:%d:%d:%d:%h;" c.level_name c.size_bytes c.line_bytes c.assoc
+        c.hit_latency_ns)
+    m.caches;
+  f "flop=%h;mlp=%h;dlat=%h:%h;dbw=%h:%h;pstat=%h;pcore=%h;punc=%h:%h;dnj=%h;capus=%h"
+    m.flop_ns m.mlp m.dram_lat_a_ns m.dram_lat_b_ns m.dram_bw_gbps_per_ghz
+    m.dram_bw_max_gbps m.p_static_w m.core_w_active m.uncore_w_per_ghz
+    m.uncore_w_base m.dram_nj_per_line m.cap_switch_us;
+  Buffer.contents b
+
 let time_balance_fpb m ~f_u =
   let peak_flops = float_of_int m.threads /. m.flop_ns in
   (* flops per ns *)

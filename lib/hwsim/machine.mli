@@ -64,6 +64,11 @@ val with_core_ghz : t -> float -> t
     dynamic core power scales ≈ f^2.2 (frequency × supply-voltage²) — the
     core-DVFS extension of Sec. VII-F.  The uncore domain is untouched. *)
 
+val fingerprint : t -> string
+(** Every field of the description, canonically rendered (floats as
+    [%h], so bit-exact).  Any retuning, e.g. {!with_core_ghz}, changes
+    it.  Result-store keys that depend on the machine embed it. *)
+
 val time_balance_fpb : t -> f_u:float -> float
 (** B{^t}_DRAM: peak flops / peak DRAM bandwidth (FLOP per byte) with all
     threads active. *)

@@ -773,6 +773,86 @@ let simulate ?(solo = true) cfg =
 
 let run_one cfg = (simulate ~solo:false cfg).combined
 
+let version = 1
+
+(* --- bit-exact outcome codec for the result store -------------------- *)
+
+module J = Telemetry.Json
+
+let outcome_to_json o =
+  let f = J.hex_float and i n = J.Int n in
+  J.Obj
+    [
+      ("time_s", f o.time_s);
+      ("energy_j", f o.energy_j);
+      ("edp", f o.edp);
+      ("avg_power_w", f o.avg_power_w);
+      ("avg_uncore_ghz", f o.avg_uncore_ghz);
+      ( "zones",
+        J.Arr
+          [ f o.zones.core_j; f o.zones.uncore_j; f o.zones.dram_j;
+            f o.zones.static_j ] );
+      ("flops", i o.flops);
+      ("dram_lines", i o.dram_lines);
+      ("dram_bytes", i o.dram_bytes);
+      ( "cache_stats",
+        J.Arr
+          (Array.to_list
+             (Array.map
+                (fun (s : Cache.level_stats) ->
+                  J.Arr
+                    [ i s.Cache.hits; i s.Cache.misses; i s.Cache.evictions;
+                      i s.Cache.writebacks ])
+                o.cache_stats)) );
+      ("cap_switches", i o.cap_switches);
+      ("achieved_gflops", f o.achieved_gflops);
+      ("achieved_bw_gbps", f o.achieved_bw_gbps);
+    ]
+
+exception Bad_shape
+
+let outcome_of_json j =
+  let get k = match J.member k j with Some v -> v | None -> raise Bad_shape in
+  let flt v =
+    match J.float_of_hex v with Some x -> x | None -> raise Bad_shape
+  in
+  let int = function J.Int n -> n | _ -> raise Bad_shape in
+  let f k = flt (get k) and i k = int (get k) in
+  match
+    {
+      time_s = f "time_s";
+      energy_j = f "energy_j";
+      edp = f "edp";
+      avg_power_w = f "avg_power_w";
+      avg_uncore_ghz = f "avg_uncore_ghz";
+      zones =
+        (match get "zones" with
+        | J.Arr [ c; u; d; s ] ->
+          { core_j = flt c; uncore_j = flt u; dram_j = flt d; static_j = flt s }
+        | _ -> raise Bad_shape);
+      flops = i "flops";
+      dram_lines = i "dram_lines";
+      dram_bytes = i "dram_bytes";
+      cache_stats =
+        (match get "cache_stats" with
+        | J.Arr levels ->
+          Array.of_list
+            (List.map
+               (function
+                 | J.Arr [ h; m; e; w ] ->
+                   { Cache.hits = int h; misses = int m; evictions = int e;
+                     writebacks = int w }
+                 | _ -> raise Bad_shape)
+               levels)
+        | _ -> raise Bad_shape);
+      cap_switches = i "cap_switches";
+      achieved_gflops = f "achieved_gflops";
+      achieved_bw_gbps = f "achieved_bw_gbps";
+    }
+  with
+  | o -> Some o
+  | exception Bad_shape -> None
+
 let pp_outcome ppf o =
   Format.fprintf ppf
     "time=%.3g s energy=%.3g J edp=%.3g avg_power=%.1f W avg_uncore=%.2f GHz \

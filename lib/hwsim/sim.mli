@@ -148,6 +148,23 @@ val run :
     Kept so pre-multi-tenant callers compile; new code should build a
     {!config}. *)
 
+(** {1 Persistence} *)
+
+val version : int
+(** The simulator's version, salted into every result-store key whose
+    payload the simulator computed (the [roofline/v1] constants of
+    [Roofline.for_machine] and the [sim/v1] outcomes of
+    [Flow.evaluate]).  Bump it with any change that moves an outcome, so
+    an old store cannot serve stale numbers; the roofline digest test
+    fails until it is bumped. *)
+
+val outcome_to_json : outcome -> Telemetry.Json.t
+(** Every field, floats as hex literals: {!outcome_of_json} restores the
+    outcome bit-for-bit. *)
+
+val outcome_of_json : Telemetry.Json.t -> outcome option
+(** [None] when the payload does not have the expected shape. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_tenant_outcome : Format.formatter -> tenant_outcome -> unit
 val pp_multi_outcome : Format.formatter -> multi_outcome -> unit

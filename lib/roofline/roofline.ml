@@ -263,6 +263,169 @@ let microbench (m : Hwsim.Machine.t) =
     dram_w_per_gbps;
   }
 
+(* --- one characterization per machine --------------------------------
+
+   The campaign is a pure function of the machine description and the
+   simulator, so its constants are persisted as a [roofline/v1] store
+   entry (every float a hex literal, so a hit is bit-identical to a
+   fresh campaign) and memoized per process on the machine fingerprint. *)
+
+module J = Telemetry.Json
+
+let store_key m =
+  Engine.Rcache.key
+    [
+      ("kind", "roofline-constants");
+      ("machine", Hwsim.Machine.fingerprint m);
+      ("sim", string_of_int Hwsim.Sim.version);
+    ]
+
+let to_json k =
+  let f = J.hex_float in
+  J.Obj
+    [
+      ("t_fpu_ns", f k.t_fpu_ns);
+      ("e_fpu_nj", f k.e_fpu_nj);
+      ("p_fpu_hat_w", f k.p_fpu_hat_w);
+      ("p_con_w", f k.p_con_w);
+      ("peak_gflops", f k.peak_gflops);
+      ("peak_bw_gbps", f k.peak_bw_gbps);
+      ("b_dram_t", f k.b_dram_t);
+      ("hit_cost_ns", J.Arr (Array.to_list (Array.map f k.hit_cost_ns)));
+      ("miss_lat_a", f k.miss_lat_a);
+      ("miss_lat_b", f k.miss_lat_b);
+      ("alpha_p", f k.alpha_p);
+      ("gamma_p", f k.gamma_p);
+      ("bw_per_ghz", f k.bw_per_ghz);
+      ("bw_sat_gbps", f k.bw_sat_gbps);
+      ("dram_w_per_gbps", f k.dram_w_per_gbps);
+    ]
+
+exception Bad_shape
+
+let of_json ~machine j =
+  let flt v =
+    match J.float_of_hex v with Some x -> x | None -> raise Bad_shape
+  in
+  let f name =
+    match J.member name j with Some v -> flt v | None -> raise Bad_shape
+  in
+  match
+    {
+      machine;
+      t_fpu_ns = f "t_fpu_ns";
+      e_fpu_nj = f "e_fpu_nj";
+      p_fpu_hat_w = f "p_fpu_hat_w";
+      p_con_w = f "p_con_w";
+      peak_gflops = f "peak_gflops";
+      peak_bw_gbps = f "peak_bw_gbps";
+      b_dram_t = f "b_dram_t";
+      hit_cost_ns =
+        (match J.member "hit_cost_ns" j with
+        | Some (J.Arr l) -> Array.of_list (List.map flt l)
+        | _ -> raise Bad_shape);
+      miss_lat_a = f "miss_lat_a";
+      miss_lat_b = f "miss_lat_b";
+      alpha_p = f "alpha_p";
+      gamma_p = f "gamma_p";
+      bw_per_ghz = f "bw_per_ghz";
+      bw_sat_gbps = f "bw_sat_gbps";
+      dram_w_per_gbps = f "dram_w_per_gbps";
+    }
+  with
+  | k -> Some k
+  | exception Bad_shape -> None
+
+let stored store m =
+  Engine.Rcache.find_or_add ~kind:Engine.Rcache.kind_roofline store
+    ~key:(store_key m) ~decode:(of_json ~machine:m) ~encode:to_json
+    (fun () -> microbench m)
+
+(* --- the built-in machines' characterizations -------------------------
+
+   [microbench] on {!Hwsim.Machine.bdw} and {!Hwsim.Machine.rpl} under
+   simulator version [builtin_sim_version], written out as hex float
+   literals (bit-exact), as the paper's Table I fixes one set of
+   constants per testbed.  [for_machine] serves them without running a
+   campaign.  The test "built-in constants are a fresh campaign" compares
+   them bit for bit with [microbench]; a simulator change that moves them
+   must bump [Hwsim.Sim.version] and [builtin_sim_version] together and
+   paste the literals that test prints. *)
+
+let builtin_sim_version = 1
+
+let bdw_constants m =
+  {
+    machine = m;
+    t_fpu_ns = 0x1.7857d27d0a6e1p-6;
+    e_fpu_nj = 0x1.bdcf36e5e6b76p+0;
+    p_fpu_hat_w = 0x1.fe819bf5f301ap+5;
+    p_con_w = 0x1.8p+3;
+    peak_gflops = 0x1.5c4729d758e38p+5;
+    peak_bw_gbps = 0x1.bf270c57c74ebp+3;
+    b_dram_t = 0x1.8ec94e56d0764p+1;
+    miss_lat_a = 0x1.9a76d18d86175p+3;
+    miss_lat_b = 0x1.36acbfe22b4p-1;
+    alpha_p = 0x1.60000000496b4p+3;
+    gamma_p = 0x1.7ffffffcc299ep+1;
+    bw_per_ghz = 0x1.5002bcccb4d4dp+2;
+    bw_sat_gbps = 0x1.bf270c57c74ebp+3;
+    dram_w_per_gbps = 0x1.a96aaaaaa5829p-2;
+    hit_cost_ns = [| 0x1.8b797257af3c8p-5; 0x1.2dc77417aed89p-3; 0x1.0ec931af4e654p-1 |];
+  }
+
+let rpl_constants m =
+  {
+    machine = m;
+    t_fpu_ns = 0x1.230305b05196ap-7;
+    e_fpu_nj = 0x1.912cf70a53b0dp-1;
+    p_fpu_hat_w = 0x1.38e8f3374d1f1p+6;
+    p_con_w = 0x1.4p+3;
+    peak_gflops = 0x1.c266a614f86ep+6;
+    peak_bw_gbps = 0x1.c71da96dcb20ep+4;
+    b_dram_t = 0x1.fab21fddeba0ep+1;
+    miss_lat_a = 0x1.4ac66848f7203p+3;
+    miss_lat_b = 0x1.1181252a2d84p-2;
+    alpha_p = 0x1.bfffffffb1a72p+2;
+    gamma_p = 0x1.00000001904d1p+1;
+    bw_per_ghz = 0x1.c3bf2fc27a87p+2;
+    bw_sat_gbps = 0x1.c71da96dcb20ep+4;
+    dram_w_per_gbps = 0x1.5464aaaab35e8p-2;
+    hit_cost_ns = [| 0x1.4b985bea91aa7p-6; 0x1.079f2abaeaa9p-4; 0x1.eac891511b4bep-3 |];
+  }
+
+let builtin_table =
+  lazy
+    [
+      (Hwsim.Machine.fingerprint Hwsim.Machine.bdw, bdw_constants);
+      (Hwsim.Machine.fingerprint Hwsim.Machine.rpl, rpl_constants);
+    ]
+
+let builtin m =
+  if Hwsim.Sim.version <> builtin_sim_version then None
+  else
+    List.assoc_opt (Hwsim.Machine.fingerprint m) (Lazy.force builtin_table)
+    |> Option.map (fun k -> k m)
+
+let memo : (string, constants) Hashtbl.t = Hashtbl.create 4
+let memo_mu = Mutex.create ()
+
+let for_machine ~ctx m =
+  let fp = Hwsim.Machine.fingerprint m in
+  (* held across a miss: concurrent callers wait for the one campaign *)
+  Mutex.protect memo_mu @@ fun () ->
+  match Hashtbl.find_opt memo fp with
+  | Some k -> k
+  | None ->
+    let k =
+      match (builtin m, Engine.Ctx.cache ctx) with
+      | Some k, _ -> k
+      | None, Some store -> stored store m
+      | None, None -> microbench m
+    in
+    Hashtbl.add memo fp k;
+    k
+
 let characterize consts ~oi = if oi >= consts.b_dram_t then CB else BB
 
 let dram_bw_at consts ~f_u =

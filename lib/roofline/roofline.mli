@@ -35,8 +35,42 @@ type constants = {
 type boundedness = CB | BB
 
 val microbench : Hwsim.Machine.t -> constants
-(** Run the microbenchmark campaign on the given machine (deterministic;
-    takes a few hundred milliseconds of simulation). *)
+(** Run the microbenchmark campaign on the given machine: one full
+    simulation per uncore frequency step plus one per cache level plus
+    four (24 on BDW, 46 on RPL), seconds of wall time — about 5 s on BDW
+    and 20 s on RPL.  Deterministic.  Callers want {!for_machine}, which
+    runs it at most once per machine. *)
+
+val for_machine : ctx:Engine.Ctx.t -> Hwsim.Machine.t -> constants
+(** The machine's constants, characterized once: an in-process memo keyed
+    on {!Hwsim.Machine.fingerprint}, in front of the built-in
+    characterizations ({!builtin}), in front of [ctx]'s result store when
+    it has one ({!stored}), in front of {!microbench}.  So the stock BDW
+    and RPL never run a campaign; any other machine (e.g. a
+    {!Hwsim.Machine.with_core_ghz} retune) runs it once per store.  Safe
+    from concurrent threads and domains; concurrent misses wait for one
+    campaign. *)
+
+val builtin : Hwsim.Machine.t -> constants option
+(** The constants shipped for {!Hwsim.Machine.bdw} and
+    {!Hwsim.Machine.rpl}: bit for bit what {!microbench} returns on them
+    under the simulator version they were fitted with, and [None] under
+    any other version or for any other machine. *)
+
+val stored : Engine.Rcache.t -> Hwsim.Machine.t -> constants
+(** The store tier of {!for_machine} without the memo: the machine's
+    [roofline/v1] entry ({!store_key}), or a fresh campaign written back
+    under it.  A corrupt entry is quarantined (or overwritten) and
+    recomputed. *)
+
+val store_key : Hwsim.Machine.t -> string
+(** Digest of the machine fingerprint, {!Hwsim.Sim.version} and
+    {!Engine.Rcache.schema_version}. *)
+
+val to_json : constants -> Telemetry.Json.t
+(** The [roofline/v1] payload: every constant as a hex float literal, so
+    a store hit is bit-identical to the campaign.  The machine is not
+    encoded: it is in the key. *)
 
 val characterize : constants -> oi:float -> boundedness
 (** Sec. IV-D: CB iff [I >= B{^t}_DRAM]. *)

@@ -5,14 +5,14 @@
    the corresponding [--json] stdout.
 
    What the daemon keeps warm between requests lives in [shared]: the
-   domain pool, the result-cache handle (and through it the engine's
-   count memos), and the per-machine roofline microbenchmark constants,
-   which are deterministic per machine and therefore safe to memoize for
-   the life of the process.  The chamber decompositions of
-   {!Presburger.Chamber} are warmed too, but live in that module's
-   process-wide memo rather than in [shared]: [analyze] decomposes each
-   statement domain up front, so subsequent requests for the same
-   program shape at any parameter value evaluate closed forms. *)
+   domain pool and the result-cache handle (and through it the engine's
+   count memos).  Two process-wide memos are warm too: the roofline
+   constants of {!Roofline.for_machine}, characterized once per machine
+   fingerprint (read from the store, or measured and written to it, on
+   the first request for a machine), and the chamber decompositions of
+   {!Presburger.Chamber}: [analyze] decomposes each statement domain up
+   front, so subsequent requests for the same program shape at any
+   parameter value evaluate closed forms. *)
 
 module J = Telemetry.Json
 open Polyufc_core
@@ -22,8 +22,6 @@ type shared = {
   cache : Engine.Rcache.t option;
   max_deadline_s : float option;
   max_fuel : int option;
-  rooflines_mu : Mutex.t;
-  rooflines : (string, Roofline.constants) Hashtbl.t;
   scatter_mu : Mutex.t;
   mutable scatter : Report.scatter_row list;
       (* newest first, bounded at [scatter_cap]: the daemon's rolling
@@ -38,8 +36,6 @@ let create ?pool ?cache ?max_deadline_s ?max_fuel () =
     cache;
     max_deadline_s;
     max_fuel;
-    rooflines_mu = Mutex.create ();
-    rooflines = Hashtbl.create 4;
     scatter_mu = Mutex.create ();
     scatter = [];
   }
@@ -58,16 +54,6 @@ let record_scatter shared rows =
 (* oldest first, the order the requests arrived in *)
 let scatter_rows shared =
   Mutex.protect shared.scatter_mu @@ fun () -> List.rev shared.scatter
-
-let rooflines_for shared machine =
-  Mutex.protect shared.rooflines_mu @@ fun () ->
-  let name = machine.Hwsim.Machine.name in
-  match Hashtbl.find_opt shared.rooflines name with
-  | Some k -> k
-  | None ->
-    let k = Roofline.microbench machine in
-    Hashtbl.add shared.rooflines name k;
-    k
 
 (* --- parameter decoding -------------------------------------------- *)
 
@@ -185,26 +171,26 @@ let analyze _shared ~ctx params =
   in
   Report.json_of_cm cm
 
-let compile shared ~ctx params =
+let compile ~ctx params =
   let prog, sizes = load_program params in
   let tile_size = get_int ~default:32 params "tile_size" in
   let epsilon = get_float ~default:1e-3 params "epsilon" in
   let machine = machine_of params in
   let objective = objective_of params in
-  let k = rooflines_for shared machine in
+  let k = Roofline.for_machine ~ctx machine in
   let c =
     Flow.compile ~ctx ~objective ~epsilon ~tile_size ~machine ~rooflines:k
       prog ~param_values:sizes
   in
   (c, machine, sizes)
 
-let search shared ~ctx params =
-  let c, _, _ = compile shared ~ctx params in
+let search _shared ~ctx params =
+  let c, _, _ = compile ~ctx params in
   Report.json_of_compiled c
 
-let run shared ~ctx params =
-  let c, machine, sizes = compile shared ~ctx params in
-  let e = Flow.evaluate ~machine c ~param_values:sizes in
+let run _shared ~ctx params =
+  let c, machine, sizes = compile ~ctx params in
+  let e = Flow.evaluate ~ctx ~machine c ~param_values:sizes in
   Report.json_of_run c e
 
 (* v2: compile every tenant, arbitrate the shared cap, co-simulate.
@@ -243,7 +229,7 @@ let analyze_multi shared ~ctx params =
     | Some _ -> bad "params.tenants must be an array of objects"
     | None -> bad "missing params.tenants"
   in
-  let rooflines = rooflines_for shared machine in
+  let rooflines = Roofline.for_machine ~ctx machine in
   let result =
     Fleet.analyze ~ctx ~objective ~epsilon ~tile_size ~solo ~machine
       ~rooflines tenant_specs

@@ -1,9 +1,10 @@
 (** Request execution for the serve daemon.
 
     A {!shared} value holds the state that makes a long-lived daemon
-    worth running: the worker {!Engine.Pool}, the {!Engine.Rcache}
-    handle, the per-machine roofline microbenchmark memo — plus the
-    server-side QoS ceilings that clamp each request's envelope.
+    worth running: the worker {!Engine.Pool} and the {!Engine.Rcache}
+    handle — plus the server-side QoS ceilings that clamp each request's
+    envelope.  Roofline constants come from {!Roofline.for_machine}'s
+    process-wide memo.
 
     {!execute} runs one request to a complete {!Protocol.response}: it
     builds the per-request {!Engine.Ctx} from the clamped QoS, runs the

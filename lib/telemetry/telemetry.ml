@@ -97,6 +97,12 @@ module Json = struct
     | Float f -> Some f
     | _ -> None
 
+  let hex_float x = Str (Printf.sprintf "%h" x)
+
+  let float_of_hex = function
+    | Str s -> float_of_string_opt s
+    | j -> number j
+
   (* recursive-descent parser; returns [Error msg] on malformed input *)
   exception Parse_error of string
 

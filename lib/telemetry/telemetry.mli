@@ -28,6 +28,13 @@ module Json : sig
   val member : string -> t -> t option
   val to_list : t -> t list option
   val number : t -> float option
+
+  val hex_float : float -> t
+  (** [Str] of the ["%h"] rendering: a bit-exact float encoding
+      (infinities included) for result-store payloads. *)
+
+  val float_of_hex : t -> float option
+  (** Inverse of {!hex_float}; plain numbers are accepted too. *)
 end
 
 type span = {

@@ -9,7 +9,15 @@
    object carrying the event envelope fields (ts, level, event), and
    there must be at least N lines (default 1).  With --require, each
    named event must additionally occur on at least one line — used to
-   pin lifecycle sequences like serve.start/serve.drain/serve.stop. *)
+   pin lifecycle sequences like serve.start/serve.drain/serve.stop.
+
+   `json_smoke --same FILE FILE...` checks that every file holds the
+   same JSON document once each "timing" member (wall-clock figures) is
+   dropped — used to pin that a result-store hit reproduces an uncached
+   run.
+
+   A required key may be a dotted path into nested objects, e.g.
+   kinds.sim/v1. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
@@ -51,6 +59,40 @@ let check_lines path min_count required =
   Printf.printf "%s: ok (%d event lines)\n" path (List.length lines);
   exit 0
 
+let read_json path =
+  let ic = open_in_bin path in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  match Telemetry.Json.of_string text with
+  | Ok doc -> doc
+  | Error msg -> fail "%s: invalid JSON: %s" path msg
+
+let rec without_timing = function
+  | Telemetry.Json.Obj fields ->
+    Telemetry.Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+           if k = "timing" then None else Some (k, without_timing v))
+         fields)
+  | Telemetry.Json.Arr items ->
+    Telemetry.Json.Arr (List.map without_timing items)
+  | j -> j
+
+let check_same = function
+  | [] | [ _ ] -> fail "usage: json_smoke --same FILE FILE..."
+  | first :: rest ->
+    let reference = without_timing (read_json first) in
+    List.iter
+      (fun path ->
+        if compare (without_timing (read_json path)) reference <> 0 then
+          fail "%s differs from %s (timing ignored)" path first)
+      rest;
+    Printf.printf "%s: ok (%d identical)\n" first (List.length rest + 1);
+    exit 0
+
 let string_of_json = function
   | Telemetry.Json.Str s -> s
   | Telemetry.Json.Int i -> string_of_int i
@@ -80,6 +122,7 @@ let () =
           | _ -> usage ())
       rest;
     check_lines path !min_count !required
+  | _ :: "--same" :: paths -> check_same paths
   | _ -> ());
   let path, checks =
     match Array.to_list Sys.argv with
@@ -102,7 +145,13 @@ let () =
               Some (String.sub check (i + 1) (String.length check - i - 1)) )
           | None -> (check, None)
         in
-        match (Telemetry.Json.member key doc, expected) with
+        let lookup =
+          List.fold_left
+            (fun j k -> Option.bind j (Telemetry.Json.member k))
+            (Some doc)
+            (String.split_on_char '.' key)
+        in
+        match (lookup, expected) with
         | None, _ -> fail "%s: missing required key %S" path key
         | Some _, None -> ()
         | Some v, Some expected ->

@@ -347,6 +347,47 @@ let test_fleet_analyze_end_to_end () =
   | Ok back -> Alcotest.(check int) "csv round-trip" 2 (List.length back)
   | Error m -> Alcotest.failf "fleet scatter CSV refused: %s" m
 
+(* sim/v1: Flow.evaluate through a store is bit-identical to simulating,
+   and a torn entry is quarantined and recomputed *)
+let test_evaluate_store_recovery () =
+  let module R = Engine.Rcache in
+  let module FS = Engine.Faultsim in
+  let sizes = [ ("n", 32) ] in
+  let c = compile_gemm 32 in
+  let bits (e : Flow.evaluation) =
+    Telemetry.Json.to_string
+      (Analysis_cache.evaluation_to_json (e.Flow.baseline, e.Flow.capped))
+  in
+  let direct =
+    bits (Flow.evaluate ~machine:Hwsim.Machine.bdw c ~param_values:sizes)
+  in
+  (* memory tier off: it would mask the torn on-disk entry *)
+  let store =
+    R.create ~dir:(Filename.temp_dir "polyufc_sim_test" "") ~mem_entries:0 ()
+  in
+  let ctx = Engine.Ctx.create ~cache:store () in
+  let evaluate () =
+    bits (Flow.evaluate ~ctx ~machine:Hwsim.Machine.bdw c ~param_values:sizes)
+  in
+  let torn =
+    match FS.parse_plan "rcache.torn_write:1:5" with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check string) "torn write, fresh outcomes" direct
+    (FS.with_plan torn evaluate);
+  FS.suspended @@ fun () ->
+  let before = R.counts_for store in
+  Alcotest.(check string) "recomputed" direct (evaluate ());
+  Alcotest.(check int) "torn entry quarantined" (before.R.quarantined + 1)
+    (R.counts_for store).R.quarantined;
+  let hits = (R.counts_for store).R.disk_hits in
+  Alcotest.(check string) "served from the store" direct (evaluate ());
+  Alcotest.(check int) "one disk hit" (hits + 1)
+    (R.counts_for store).R.disk_hits;
+  Alcotest.(check bool) "stats_by_kind lists sim/v1" true
+    (List.mem_assoc R.kind_sim (R.stats_by_kind store))
+
 let scatter_tests =
   [
     Alcotest.test_case "scatter point math" `Quick test_scatter_point_math;
@@ -358,6 +399,8 @@ let scatter_tests =
       test_scatter_json_roundtrip;
     Alcotest.test_case "fleet analyze end-to-end" `Quick
       test_fleet_analyze_end_to_end;
+    Alcotest.test_case "flow evaluate through the store" `Quick
+      test_evaluate_store_recovery;
   ]
 
 let tests = tests @ extension_tests @ scatter_tests

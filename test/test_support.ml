@@ -1,5 +1,9 @@
-(* Shared fixtures: the roofline microbench campaign is deterministic and
-   moderately expensive, so run it once per machine for the whole suite. *)
+(* Shared fixtures: the roofline campaign is deterministic and takes
+   seconds, so the suite characterizes each machine once, through
+   [Roofline.for_machine]'s process-wide memo. *)
 
-let bdw_rooflines = lazy (Roofline.microbench Hwsim.Machine.bdw)
-let rpl_rooflines = lazy (Roofline.microbench Hwsim.Machine.rpl)
+let bdw_rooflines =
+  lazy (Roofline.for_machine ~ctx:Engine.Ctx.none Hwsim.Machine.bdw)
+
+let rpl_rooflines =
+  lazy (Roofline.for_machine ~ctx:Engine.Ctx.none Hwsim.Machine.rpl)
