@@ -37,6 +37,14 @@ let pmap f xs =
 
 let rooflines m = Roofline.for_machine ~ctx:Engine.Ctx.none m
 
+(* the CLI's default result store: a retuned machine's roofline campaign
+   (abl-core) runs once per store, not once per bench run *)
+let store_ctx =
+  lazy
+    (Engine.Ctx.create
+       ~cache:(Engine.Rcache.create ~dir:(Engine.Rcache.default_dir ()) ())
+       ())
+
 let machines = [ Hwsim.Machine.bdw; Hwsim.Machine.rpl ]
 
 let bound_str = function Roofline.CB -> "CB" | Roofline.BB -> "BB"
@@ -608,7 +616,7 @@ let abl_core () =
       let w = Workloads.find name in
       pf "\n%s:\n" name;
       let r =
-        Core_scaling.search ~machine:m
+        Core_scaling.search ~ctx:(Lazy.force store_ctx) ~machine:m
           (Workloads.tiled_program w)
           ~param_values:(Workloads.param_values w)
       in

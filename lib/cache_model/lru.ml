@@ -27,9 +27,6 @@ let create ~capacity =
   t.prev.(0) <- 0;
   t
 
-let capacity t = t.capacity
-let size t = t.used
-
 let unlink t node =
   let p = t.prev.(node) and n = t.next.(node) in
   t.next.(p) <- n;
@@ -66,11 +63,3 @@ let touch t key =
     Hashtbl.replace t.index key node;
     link_front t node;
     false
-
-let mem t key = Hashtbl.mem t.index key
-
-let clear t =
-  Hashtbl.reset t.index;
-  t.used <- 0;
-  t.next.(0) <- 0;
-  t.prev.(0) <- 0

@@ -40,12 +40,19 @@ type result = {
 
 let total_misses lc = lc.cold + lc.capacity_conflict
 
-(* mutable per-level model state *)
+(* Mutable per-level model state (see the interface for the layout).
+   Fully-associative mode keeps {!Lru} because its one set holds the
+   whole level, 8–16 K lines, where a scan would not pay. *)
 type level_state = {
   geom : Hwsim.Machine.cache_geometry;
-  sets : Lru.t array;  (* one per set; a single entry in fully-assoc mode *)
+  line_bytes : int;
   n_sets : int;
-  seen : (int, unit) Hashtbl.t;  (* lines ever touched: cold classification *)
+  ways : int;
+  tags : int array;  (* set-assoc: n_sets × ways line tags, [empty] pads *)
+  full : Lru.t option;  (* fully-assoc: the level's single LRU *)
+  seen : Bytes.t;  (* bit [l]: line [l] of the layout ever touched *)
+  seen_lines : int;
+  seen_beyond : (int, unit) Hashtbl.t;  (* touched lines outside the layout *)
   mutable c_presented : int;
   mutable c_cold : int;
   mutable c_capconf : int;
@@ -53,24 +60,72 @@ type level_state = {
   mutable c_demand_hits : int;
 }
 
-let make_level mode (geom : Hwsim.Machine.cache_geometry) =
-  let lines_total = geom.Hwsim.Machine.size_bytes / geom.Hwsim.Machine.line_bytes in
-  let n_sets, cap =
+(* no line is [min_int]: lines are byte addresses divided by ℓ ≥ 2 *)
+let empty = min_int
+
+let make_level mode ~footprint (geom : Hwsim.Machine.cache_geometry) =
+  let line_bytes = geom.Hwsim.Machine.line_bytes in
+  let lines_total = geom.Hwsim.Machine.size_bytes / line_bytes in
+  let n_sets, ways, full =
     match mode with
-    | Set_associative -> (lines_total / geom.Hwsim.Machine.assoc, geom.Hwsim.Machine.assoc)
-    | Fully_associative -> (1, lines_total)
+    | Set_associative ->
+      (lines_total / geom.Hwsim.Machine.assoc, geom.Hwsim.Machine.assoc, None)
+    | Fully_associative -> (1, 0, Some (Lru.create ~capacity:lines_total))
   in
+  let seen_lines = (footprint + line_bytes - 1) / line_bytes in
   {
     geom;
-    sets = Array.init n_sets (fun _ -> Lru.create ~capacity:cap);
+    line_bytes;
     n_sets;
-    seen = Hashtbl.create 4096;
+    ways;
+    tags = Array.make (n_sets * ways) empty;
+    full;
+    seen = Bytes.make ((seen_lines + 7) / 8) '\000';
+    seen_lines;
+    seen_beyond = Hashtbl.create 16;
     c_presented = 0;
     c_cold = 0;
     c_capconf = 0;
     c_hits = 0;
     c_demand_hits = 0;
   }
+
+(* touch [line] in set [set] with {!Lru.touch}'s semantics: [true] on a
+   hit *)
+let touch st set line =
+  match st.full with
+  | Some lru -> Lru.touch lru line
+  | None ->
+    (* an address below the layout: set-associative mode rejects it *)
+    if set < 0 then invalid_arg "index out of bounds";
+    let tags = st.tags and base = set * st.ways in
+    let w = ref 0 in
+    while !w < st.ways && tags.(base + !w) <> line do
+      incr w
+    done;
+    let hit = !w < st.ways in
+    for k = (if hit then !w else st.ways - 1) downto 1 do
+      tags.(base + k) <- tags.(base + k - 1)
+    done;
+    tags.(base) <- line;
+    hit
+
+(* record [line] as seen; [true] on its first touch *)
+let first_touch st line =
+  if line >= 0 && line < st.seen_lines then begin
+    let byte = Char.code (Bytes.get st.seen (line lsr 3)) in
+    let bit = 1 lsl (line land 7) in
+    if byte land bit <> 0 then false
+    else begin
+      Bytes.set st.seen (line lsr 3) (Char.chr (byte lor bit));
+      true
+    end
+  end
+  else if Hashtbl.mem st.seen_beyond line then false
+  else begin
+    Hashtbl.add st.seen_beyond line ();
+    true
+  end
 
 let rec has_parallel_loop = function
   | Ir.Stmt _ -> false
@@ -87,6 +142,16 @@ type stmt_state = {
   ss_demand_hits : int array;
   mutable ss_flops : int;
 }
+
+let stmt_state_make n_levels =
+  {
+    ss_presented = Array.make n_levels 0;
+    ss_cold = Array.make n_levels 0;
+    ss_capconf = Array.make n_levels 0;
+    ss_hits = Array.make n_levels 0;
+    ss_demand_hits = Array.make n_levels 0;
+    ss_flops = 0;
+  }
 
 let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
     ?(apply_thread_heuristic = true) ?(set_sampling = 1) ~machine prog
@@ -111,88 +176,87 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
     end
   in
   let sampling = match mode with Fully_associative -> 1 | Set_associative -> set_sampling in
+  (* the seen-line bitsets span the layout; an invalid program gets empty
+     ones here and its error from [Interp.run] below *)
+  let footprint =
+    match Layout.of_program prog ~param_values with
+    | l -> l.Layout.footprint
+    | exception Invalid_argument _ -> 0
+  in
   let levels =
-    Array.of_list (List.map (make_level mode) machine.Hwsim.Machine.caches)
+    Array.of_list
+      (List.map (make_level mode ~footprint) machine.Hwsim.Machine.caches)
   in
   let n_levels = Array.length levels in
+  let last = n_levels - 1 in
   let stmt_tbl : (string, stmt_state) Hashtbl.t = Hashtbl.create 16 in
   let stmt_order = ref [] in
   let stmt_state name =
     match Hashtbl.find_opt stmt_tbl name with
     | Some s -> s
     | None ->
-      let s =
-        {
-          ss_presented = Array.make n_levels 0;
-          ss_cold = Array.make n_levels 0;
-          ss_capconf = Array.make n_levels 0;
-          ss_hits = Array.make n_levels 0;
-          ss_demand_hits = Array.make n_levels 0;
-          ss_flops = 0;
-        }
-      in
+      let s = stmt_state_make n_levels in
       Hashtbl.add stmt_tbl name s;
       stmt_order := name :: !stmt_order;
       s
   in
-  let on_access ~stmt ~array:_ ~addr ~bytes:_ ~is_write =
+  (* [Interp] fires [on_stmt] before each instance's accesses, so the
+     instance's counter block is resolved there, once; a statement's
+     name is the same physical string on every instance *)
+  let cur_name = ref "" and cur = ref (stmt_state_make n_levels) in
+  let on_stmt ~stmt ~flops =
+    if stmt != !cur_name then begin
+      cur := stmt_state stmt;
+      cur_name := stmt
+    end;
+    let ss = !cur in
+    ss.ss_flops <- ss.ss_flops + flops
+  in
+  let on_access ~stmt:_ ~array:_ ~addr ~bytes:_ ~is_write =
     gov_meter ();
-    let ss = stmt_state stmt in
+    let ss = !cur in
     (* write-through: level i+1 sees level i's misses and all writes *)
-    let rec level i missed_above =
-      if i < n_levels && (i = 0 || missed_above || is_write) then begin
-        let demand = i = 0 || missed_above in
-        let st = levels.(i) in
-        let line = addr / st.geom.Hwsim.Machine.line_bytes in
-        let set = if st.n_sets = 1 then 0 else line mod st.n_sets in
-        (* Bullseye-style sampling applies to the last level only: the
-           shallower levels keep exact state so the write-through
-           presentation chain stays unbiased *)
-        if sampling > 1 && i = n_levels - 1 && set mod sampling <> 0 then ()
-        else begin
+    let i = ref 0 and missed = ref false in
+    while !i < n_levels && (!i = 0 || !missed || is_write) do
+      let li = !i in
+      let demand = li = 0 || !missed in
+      let st = levels.(li) in
+      let line = addr / st.line_bytes in
+      let set = if st.n_sets = 1 then 0 else line mod st.n_sets in
+      (* Bullseye-style sampling applies to the last level only: the
+         shallower levels keep exact state so the write-through
+         presentation chain stays unbiased *)
+      if sampling > 1 && li = last && set mod sampling <> 0 then i := n_levels
+      else begin
         st.c_presented <- st.c_presented + 1;
-        ss.ss_presented.(i) <- ss.ss_presented.(i) + 1;
-        let in_lru = Lru.touch st.sets.(set) line in
-        let missed =
-          if in_lru then begin
-            st.c_hits <- st.c_hits + 1;
-            ss.ss_hits.(i) <- ss.ss_hits.(i) + 1;
-            if demand then begin
-              st.c_demand_hits <- st.c_demand_hits + 1;
-              ss.ss_demand_hits.(i) <- ss.ss_demand_hits.(i) + 1
-            end;
-            false
+        ss.ss_presented.(li) <- ss.ss_presented.(li) + 1;
+        if touch st set line then begin
+          st.c_hits <- st.c_hits + 1;
+          ss.ss_hits.(li) <- ss.ss_hits.(li) + 1;
+          if demand then begin
+            st.c_demand_hits <- st.c_demand_hits + 1;
+            ss.ss_demand_hits.(li) <- ss.ss_demand_hits.(li) + 1
+          end;
+          missed := false
+        end
+        else begin
+          if first_touch st line then begin
+            st.c_cold <- st.c_cold + 1;
+            ss.ss_cold.(li) <- ss.ss_cold.(li) + 1
           end
           else begin
-            if Hashtbl.mem st.seen line then begin
-              st.c_capconf <- st.c_capconf + 1;
-              ss.ss_capconf.(i) <- ss.ss_capconf.(i) + 1
-            end
-            else begin
-              Hashtbl.add st.seen line ();
-              st.c_cold <- st.c_cold + 1;
-              ss.ss_cold.(i) <- ss.ss_cold.(i) + 1
-            end;
-            true
-          end
-        in
-        level (i + 1) missed
-        end
+            st.c_capconf <- st.c_capconf + 1;
+            ss.ss_capconf.(li) <- ss.ss_capconf.(li) + 1
+          end;
+          missed := true
+        end;
+        i := li + 1
       end
-    in
-    level 0 false
+    done
   in
   (* only last-level counters are scaled back up *)
   let scale_at i x = if i = n_levels - 1 then x * sampling else x in
-  let cb =
-    {
-      (Interp.with_access on_access) with
-      Interp.on_stmt =
-        (fun ~stmt ~flops ->
-          let ss = stmt_state stmt in
-          ss.ss_flops <- ss.ss_flops + flops);
-    }
-  in
+  let cb = { (Interp.with_access on_access) with Interp.on_stmt } in
   let res = Interp.run ~compute:false prog ~param_values cb in
   if governed then Engine.Ctx.spend ctx !gov_pending;
   let counts =

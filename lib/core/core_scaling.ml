@@ -15,8 +15,8 @@ let objective_value obj (p : point) =
   | Search.Energy -> p.est_energy_j
   | Search.Performance -> p.est_time_s
 
-let search ?(objective = Search.Edp) ?epsilon ?core_freqs ~machine prog
-    ~param_values =
+let search ?(ctx = Engine.Ctx.none) ?(objective = Search.Edp) ?epsilon
+    ?core_freqs ~machine prog ~param_values =
   let base = machine.Hwsim.Machine.core_ghz in
   let freqs =
     match core_freqs with
@@ -29,9 +29,9 @@ let search ?(objective = Search.Edp) ?epsilon ?core_freqs ~machine prog
     List.map
       (fun f ->
         let m = Hwsim.Machine.with_core_ghz machine f in
-        let rooflines = Roofline.for_machine ~ctx:Engine.Ctx.none m in
+        let rooflines = Roofline.for_machine ~ctx m in
         let compiled =
-          Flow.compile ~objective ?epsilon ~tile:false ~machine:m ~rooflines
+          Flow.compile ~ctx ~objective ?epsilon ~tile:false ~machine:m ~rooflines
             prog ~param_values
         in
         (* model estimate of the whole program at the per-region caps:

@@ -30,6 +30,7 @@ type t = {
 }
 
 val search :
+  ?ctx:Engine.Ctx.t ->
   ?objective:Search.objective ->
   ?epsilon:float ->
   ?core_freqs:float list ->
@@ -39,7 +40,9 @@ val search :
   t
 (** [core_freqs] defaults to {2/3, 5/6, 1, 7/6} × the machine's base core
     clock.  The input program should already be Pluto-optimized (the flow
-    is invoked with [tile:false]). *)
+    is invoked with [tile:false]).  With a result store in [ctx], each
+    retuned machine's campaign is a [roofline/v1] entry there, so a
+    search over the same store runs none. *)
 
 val evaluate_best :
   t -> param_values:(string * int) list -> Flow.evaluation

@@ -164,7 +164,10 @@ let of_json j =
 (* ---- symbolic result-cache tier ---- *)
 
 let cache_key key_str =
-  Engine.Rcache.key [ ("kind", "polyufc-symbolic-chambers"); ("set", key_str) ]
+  (* v2: fits bounded by the vertex period (entries stored before it may
+     carry an under-estimated period) *)
+  Engine.Rcache.key
+    [ ("kind", "polyufc-symbolic-chambers"); ("v", "2"); ("set", key_str) ]
 
 let cache_find ctx key_str =
   match Ctx.cache ctx with
@@ -395,11 +398,81 @@ let boundary_ok ~f guard q =
           done;
           !ok)
 
-let fit_chamber ~ctx ~np ~m b guard =
+(* A bound on the period of every chamber's count: the vertices of the
+   parametric polytope solve m of its constraints for the counting
+   columns, so their coordinates are affine in the parameters with
+   denominators dividing that m×m minor's determinant, and the count's
+   period on a chamber divides the lcm of those denominators.  [None]
+   when the lcm overflows. *)
+let period_bound ~np ~m p =
+  let rows =
+    Array.of_list
+      (List.map
+         (fun (c : Poly.cstr) -> Array.sub c.coef np m)
+         (Poly.constraints p))
+  in
+  (* fraction-free (Bareiss) elimination; checked arithmetic *)
+  let det sel =
+    let a = Array.map (fun r -> Array.copy rows.(r)) sel in
+    let sign = ref 1 and prev = ref 1 and singular = ref false in
+    for k = 0 to m - 1 do
+      if not !singular then begin
+        (match
+           List.find_opt (fun i -> a.(i).(k) <> 0) (List.init (m - k) (( + ) k))
+         with
+        | None -> singular := true
+        | Some i when i <> k ->
+          let t = a.(i) in
+          a.(i) <- a.(k);
+          a.(k) <- t;
+          sign := - !sign
+        | Some _ -> ());
+        if not !singular then begin
+          for i = k + 1 to m - 1 do
+            for j = k + 1 to m - 1 do
+              a.(i).(j) <-
+                Ints.sub (Ints.mul a.(i).(j) a.(k).(k)) (Ints.mul a.(i).(k) a.(k).(j))
+                / !prev
+            done
+          done;
+          prev := a.(k).(k)
+        end
+      end
+    done;
+    if !singular then 0 else !sign * a.(m - 1).(m - 1)
+  in
+  let n = Array.length rows in
+  let sel = Array.make m 0 in
+  let rec choose k from acc =
+    if k = m then (match abs (det sel) with 0 -> acc | d -> Ints.lcm acc d)
+    else begin
+      let acc = ref acc in
+      for r = from to n - 1 do
+        sel.(k) <- r;
+        acc := choose (k + 1) (r + 1) !acc
+      done;
+      !acc
+    end
+  in
+  match choose 0 0 1 with d -> Some d | exception Ints.Overflow -> None
+
+let fit_chamber ~ctx ~np ~m ~period_bound b guard =
   let degree = m in
   let f v = Bset.cardinality ~ctx (Bset.fix_params b v) in
+  (* only periods the bound divides can be the count's; past the
+     per-arity cap the fit is declined rather than guessed *)
   let candidates =
-    match np with 1 -> [ 1; 2; 3; 4; 6 ] | 2 -> [ 1; 2; 3; 4 ] | _ -> [ 1; 2 ]
+    let base, cap =
+      match np with
+      | 1 -> ([ 1; 2; 3; 4; 6 ], 12)
+      | 2 -> ([ 1; 2; 3; 4 ], 4)
+      | _ -> ([ 1; 2 ], 2)
+    in
+    match period_bound with
+    | None -> []
+    | Some d ->
+      List.sort_uniq compare
+        (List.filter (fun p -> p mod d = 0 && p <= cap) (d :: base))
   in
   let rec try_periods = function
     | [] -> None
@@ -486,6 +559,7 @@ let build ~ctx ~np ~m b p =
     if not (Poly.rational_feasible dpoly) then Some { np; chambers = [] }
     else begin
       let forms = split_forms ~np ~nvar tw dpoly in
+      let period_bound = period_bound ~np ~m p in
       let guards = enumerate_chambers ~ctx dpoly forms in
       let chambers =
         List.fold_left
@@ -494,7 +568,7 @@ let build ~ctx ~np ~m b p =
             | None -> None
             | Some acc -> (
                 Ctx.check ctx;
-                match fit_chamber ~ctx ~np ~m b guard with
+                match fit_chamber ~ctx ~np ~m ~period_bound b guard with
                 | Some q -> Some ({ guard; count = q } :: acc)
                 | None -> (
                     match thin_chambers ~ctx ~np b guard with

@@ -1,0 +1,58 @@
+(* The paper's headline classification as a regression test: Fig. 6's
+   CB/BB split of the 22 PolyBench kernels, computed the way the bench
+   computes it (Flow.compile on the Pluto-tiled kernel at its default
+   size, then Roofline.characterize) from the built-in constants, with no
+   simulation.  A change to PolyUFC-CM or the flow that flips a kernel's
+   class — and with it its cap decision — fails here. *)
+
+open Polyufc_core
+
+(* EXPERIMENTS.md, Fig. 6: the compute-bound kernels per machine; every
+   other PolyBench kernel is bandwidth-bound *)
+let bdw_cb =
+  [
+    "gemm"; "2mm"; "3mm"; "trmm"; "symm"; "syrk"; "syr2k"; "cholesky";
+    "durbin"; "lu"; "doitgen"; "jacobi-1d"; "correlation";
+  ]
+
+(* jacobi-2d flips to CB with RPL's larger LLC *)
+let rpl_cb = "jacobi-2d" :: bdw_cb
+
+let classify (m : Hwsim.Machine.t) =
+  let rooflines =
+    match Roofline.builtin m with
+    | Some k -> k
+    | None -> Alcotest.failf "%s has no built-in constants" m.Hwsim.Machine.name
+  in
+  List.map
+    (fun (w : Workloads.t) ->
+      let c =
+        Flow.compile ~tile:false ~machine:m ~rooflines
+          (Workloads.tiled_program w)
+          ~param_values:(Workloads.param_values w)
+      in
+      ( w.Workloads.name,
+        Roofline.characterize rooflines ~oi:c.Flow.profile.Perfmodel.oi ))
+    Workloads.polybench
+
+let check_fig6 (m : Hwsim.Machine.t) ~cb ~n_cb ~n_bb () =
+  let classes = classify m in
+  let cb_got =
+    List.filter_map
+      (fun (name, b) -> if b = Roofline.CB then Some name else None)
+      classes
+  in
+  let name = m.Hwsim.Machine.name in
+  Alcotest.(check (list string))
+    (name ^ " CB kernels") (List.sort compare cb) (List.sort compare cb_got);
+  Alcotest.(check int) (name ^ " CB count") n_cb (List.length cb_got);
+  Alcotest.(check int) (name ^ " BB count") n_bb
+    (List.length classes - List.length cb_got)
+
+let tests =
+  [
+    Alcotest.test_case "Fig. 6 BDW: 13 CB / 9 BB" `Slow
+      (check_fig6 Hwsim.Machine.bdw ~cb:bdw_cb ~n_cb:13 ~n_bb:9);
+    Alcotest.test_case "Fig. 6 RPL: 14 CB / 8 BB" `Slow
+      (check_fig6 Hwsim.Machine.rpl ~cb:rpl_cb ~n_cb:14 ~n_bb:8);
+  ]

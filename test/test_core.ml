@@ -201,10 +201,60 @@ let test_joint_search () =
         (p.Core_scaling.compiled.Flow.caps <> []))
     r.Core_scaling.points
 
+(* Test_roofline's two-level machine, whose campaign takes a fraction of
+   a second; the core clocks below are visited by no other test, so the
+   process-wide memo starts cold on them. *)
+let toy = Test_roofline.toy
+
+let test_joint_search_store () =
+  let module R = Engine.Rcache in
+  let dir = Filename.temp_dir "polyufc_core_scaling_test" "" in
+  let ctx = Engine.Ctx.create ~cache:(R.create ~dir ()) () in
+  let prog = Poly_ir.Tiling.tile_program ~tile_size:8 (Polylang.parse gemm_src) in
+  let core_freqs = [ 1.7; 1.9 ] in
+  let search () =
+    Core_scaling.search ~ctx ~core_freqs ~machine:toy prog
+      ~param_values:[ ("n", 16) ]
+  in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+  @@ fun () ->
+  let runs () = Telemetry.counter_value "hwsim.runs" in
+  let r0 = runs () in
+  let first = search () in
+  let r1 = runs () in
+  Alcotest.(check bool) "first search runs the campaigns" true (r1 > r0);
+  let second = search () in
+  Alcotest.(check int) "second search runs none" r1 (runs ());
+  Alcotest.(check (float 0.0)) "same best point"
+    first.Core_scaling.best.Core_scaling.core_ghz
+    second.Core_scaling.best.Core_scaling.core_ghz;
+  (* the campaigns reached the store: a fresh handle serves them from
+     disk, still without a simulation *)
+  let fresh = R.create ~dir () in
+  List.iter
+    (fun f ->
+      let m = Hwsim.Machine.with_core_ghz toy f in
+      let k = Roofline.stored fresh m in
+      Alcotest.(check (float 0.0)) "stored constants" f
+        k.Roofline.machine.Hwsim.Machine.core_ghz)
+    core_freqs;
+  Alcotest.(check int) "served from the store" r1 (runs ());
+  Alcotest.(check int) "one roofline/v1 entry per core clock"
+    (List.length core_freqs)
+    (match List.assoc_opt R.kind_roofline (R.stats_by_kind fresh) with
+    | Some s -> s.R.entries
+    | None -> 0)
+
 let extension_tests =
   [
     Alcotest.test_case "with_core_ghz physics" `Quick test_with_core_ghz_physics;
     Alcotest.test_case "joint core+uncore search" `Slow test_joint_search;
+    Alcotest.test_case "joint search campaigns reach the store" `Quick
+      test_joint_search_store;
   ]
 
 (* ---------- roofline scatter exporter ---------- *)

@@ -526,6 +526,41 @@ let test_chamber_counters () =
   Alcotest.(check bool) "qpoly_evals ticked" true (evals1 > evals0);
   Alcotest.(check bool) "second query was a memo hit" true (hits1 > hits0)
 
+(* The count over this domain is a period-5 quasi-polynomial in n for
+   n >= 7 (x3's lower bound 5·x1 - 4n + 8 crosses 0 inside x1's range),
+   and a period-1 cubic once fitted through n = 7..12 and passed its
+   held-out probes while over-counting from n = 13 (324 vs 323). *)
+let test_chamber_period_bound () =
+  let ge l k = Poly.ge (Array.of_list l) k in
+  let poly =
+    Poly.make 4
+      [
+        Poly.eq [| 2; -2; -1; 0 |] (-5);
+        ge [ 0; -1; 2; 1 ] 2;
+        ge [ 2; 0; -1; 0 ] (-1);
+        ge [ 0; 1; 0; 0 ] 0;
+        ge [ 0; 0; 1; 0 ] 0;
+        ge [ 0; 0; 0; 1 ] 0;
+        ge [ 1; -1; 0; 0 ] 0;
+        ge [ 2; 0; 0; -1 ] 3;
+      ]
+  in
+  let b = Bset.of_poly (param_space 1 3) ~n_div:0 poly in
+  Chamber.clear_memo ();
+  let ch = Count.card_param b in
+  for n = 0 to 40 do
+    let exact = Bset.cardinality (Bset.fix_params b [| n |]) in
+    (match ch with
+    | Some ch ->
+      Alcotest.(check int) (Printf.sprintf "chamber eval at n=%d" n) exact
+        (Chamber.eval ch [| n |])
+    | None -> ());
+    Alcotest.(check int) (Printf.sprintf "card_at at n=%d" n) exact
+      (Count.card_at b [| n |])
+  done;
+  Alcotest.(check int) "exact count at n=13" 323
+    (Bset.cardinality (Bset.fix_params b [| 13 |]))
+
 let tests =
   [
     Alcotest.test_case "pool parity (80 random + chunked scan)" `Slow test_pool_parity;
@@ -548,6 +583,8 @@ let tests =
       test_symbolic_cache_never_degraded;
     Alcotest.test_case "chamber telemetry counters tick" `Quick
       test_chamber_counters;
+    Alcotest.test_case "chamber period divides the vertex denominators" `Quick
+      test_chamber_period_bound;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~verbose:false)

@@ -11,9 +11,11 @@ let () =
       ("hwsim", Test_hwsim.tests);
       ("hwsim_multi", Test_hwsim_multi.tests);
       ("cache_model", Test_cache_model.tests);
+      ("cm_oracle", Test_cm_oracle.tests);
       ("roofline", Test_roofline.tests);
       ("perfmodel", Test_perfmodel.tests);
       ("core", Test_core.tests);
+      ("claims", Test_claims.tests);
       ("mlir_lite", Test_mlir_lite.tests);
       ("workloads", Test_workloads.tests);
       ("telemetry", Test_telemetry.tests);
