@@ -300,16 +300,14 @@ let evaluate ?(ctx = Engine.Ctx.none) ~machine compiled ~param_values =
           ~name:compiled.source.Poly_ir.Ir.prog_name compiled.optimized;
       ]
   in
+  (* the governor baseline and the capped binary share one trace walk *)
   let simulate () =
-    let baseline =
-      Telemetry.with_span "evaluate.baseline" (fun () ->
-          Hwsim.Sim.run_one (config ~caps:[]))
-    in
-    let capped =
-      Telemetry.with_span "evaluate.capped" (fun () ->
-          Hwsim.Sim.run_one (config ~caps:compiled.caps))
-    in
-    (baseline, capped)
+    Telemetry.with_span "evaluate.simulate" (fun () ->
+        match
+          Hwsim.Sim.run_each [ config ~caps:[]; config ~caps:compiled.caps ]
+        with
+        | [ baseline; capped ] -> (baseline, capped)
+        | _ -> assert false)
   in
   (* both runs are pure functions of the capped config (the baseline
      drops its caps), so one sim/v1 entry keyed on it holds the pair *)

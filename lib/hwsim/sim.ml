@@ -28,6 +28,7 @@ type outcome = {
 type cap_schedule = (string * float) list
 
 let c_runs = Telemetry.counter "hwsim.runs"
+let c_walks = Telemetry.counter "hwsim.walks"
 let c_multi_runs = Telemetry.counter "hwsim.multi_runs"
 let c_tenants = Telemetry.counter "hwsim.tenants_interleaved"
 let c_cap_switches = Telemetry.counter "hwsim.cap_switches"
@@ -35,220 +36,6 @@ let c_gov_switches = Telemetry.counter "hwsim.governor_switches"
 let c_dram_lines = Telemetry.counter "hwsim.dram_lines"
 
 let clamp lo hi x = Float.max lo (Float.min hi x)
-
-(* --- single-kernel engine ------------------------------------------- *)
-
-(* The paper-faithful single-kernel walk: one inclusive cache hierarchy,
-   one trace, one clock.  [Sim.run] and one-tenant [simulate] configs go
-   through here, so the record API is byte-identical to the legacy
-   optional-argument entry point. *)
-let run_single ~machine ~uncore ~caps ~governor_interval_us prog
-    ~param_values =
-  Telemetry.tick c_runs;
-  Telemetry.with_span "hwsim.run"
-    ~args:
-      [
-        ("prog", prog.Ir.prog_name);
-        ("machine", machine.Machine.name);
-        ("uncore", match uncore with `Fixed _ -> "fixed" | `Governor -> "governor");
-      ]
-  @@ fun () ->
-  let m = machine in
-  let cache = Cache.create m.Machine.caches in
-  let line = Machine.line_bytes m in
-  let hit_lat =
-    Array.of_list (List.map (fun g -> g.Machine.hit_latency_ns) m.Machine.caches)
-  in
-  let n_levels = Array.length hit_lat in
-  (* simulated state; all times in nanoseconds *)
-  let time_ns = ref 0.0 in
-  let core_j = ref 0.0 and uncore_j = ref 0.0 and dram_j = ref 0.0 in
-  let uncore_time_weighted = ref 0.0 in
-  (* [cap = None]: governor free-running; [Some f]: uncore pinned at f —
-     PolyUFC writes both UFS limits, pinning the clock for the region *)
-  let cap = ref None in
-  let f_u =
-    ref
-      (match uncore with
-      | `Fixed f -> clamp m.Machine.uncore_min_ghz m.Machine.uncore_max_ghz f
-      | `Governor -> m.Machine.uncore_min_ghz)
-  in
-  let parallel_depth = ref 0 in
-  let cap_switches = ref 0 in
-  let gov_switches = ref 0 in
-  let total_flops = ref 0 in
-  let dram_event_bytes = ref 0 in
-  (* governor state: DRAM bytes seen since the last adjustment *)
-  let gov_last_t = ref 0.0 in
-  let gov_bytes = ref 0 in
-  let governor_interval_ns = governor_interval_us *. 1e3 in
-  (* advance simulated time, integrating power over the interval *)
-  let advance dt_ns =
-    if dt_ns > 0.0 then begin
-      time_ns := !time_ns +. dt_ns;
-      let threads =
-        if !parallel_depth > 0 then float_of_int m.Machine.threads else 1.0
-      in
-      core_j := !core_j +. (m.Machine.core_w_active *. threads *. dt_ns *. 1e-9);
-      uncore_j := !uncore_j +. (Machine.uncore_power_w m ~f_u:!f_u *. dt_ns *. 1e-9);
-      uncore_time_weighted := !uncore_time_weighted +. (!f_u *. dt_ns)
-    end
-  in
-  let governor_tick () =
-    if !cap = None && !time_ns -. !gov_last_t >= governor_interval_ns then begin
-      let dt = !time_ns -. !gov_last_t in
-      let bw_gbps = float_of_int !gov_bytes /. dt in
-      (* demand ratio against the capability at the current clock; the
-         driver targets the top of the range under any sustained memory
-         activity (over-provisioning CB phases, cf. Sec. I) but ramps with
-         control-loop latency and decays between phases *)
-      let capacity = Machine.dram_bw_gbps m ~f_u:!f_u in
-      let demand = bw_gbps /. Float.max 1e-9 capacity in
-      let target =
-        if demand > 0.01 then m.Machine.uncore_max_ghz
-        else
-          m.Machine.uncore_min_ghz
-          +. ((m.Machine.uncore_max_ghz -. m.Machine.uncore_min_ghz)
-             *. (demand /. 0.01))
-      in
-      let next =
-        if target > !f_u then !f_u +. ((target -. !f_u) *. 0.5)
-        else !f_u -. ((!f_u -. target) *. 0.15)
-      in
-      let next = clamp m.Machine.uncore_min_ghz m.Machine.uncore_max_ghz next in
-      if Float.abs (next -. !f_u) > 1e-9 then incr gov_switches;
-      f_u := next;
-      gov_last_t := !time_ns;
-      gov_bytes := 0
-    end
-  in
-  let apply_cap freq =
-    incr cap_switches;
-    (* the MSR write stalls the pipeline for the cap-switch latency; the
-       stall is integrated at the pre-switch clock — the uncore is still
-       running at the old frequency while the write retires *)
-    advance (m.Machine.cap_switch_us *. 1e3);
-    let f = clamp m.Machine.uncore_min_ghz m.Machine.uncore_max_ghz freq in
-    cap := Some f;
-    f_u := f;
-    (* restart the governor's accounting window: bytes observed before
-       the switch were transferred at the old clock, and a later tick
-       must not evaluate them against the new clock's capacity *)
-    gov_last_t := !time_ns;
-    gov_bytes := 0
-  in
-  let thread_factor () =
-    if !parallel_depth > 0 then float_of_int m.Machine.threads else 1.0
-  in
-  let on_access ~stmt:_ ~array:_ ~addr ~bytes:_ ~is_write =
-    let o = Cache.access cache ~addr ~is_write in
-    let tf = thread_factor () in
-    if o.Cache.hit_level < n_levels then
-      advance (hit_lat.(o.Cache.hit_level) /. m.Machine.mlp /. tf)
-    else begin
-      (* DRAM: latency amortized by MLP, bandwidth shared by all threads *)
-      let lat = Machine.dram_latency_ns m ~f_u:!f_u /. m.Machine.mlp /. tf in
-      let bw_t =
-        float_of_int line /. Machine.dram_bw_gbps m ~f_u:!f_u
-      in
-      advance (Float.max lat bw_t);
-      dram_j := !dram_j +. (m.Machine.dram_nj_per_line *. 1e-9);
-      gov_bytes := !gov_bytes + line;
-      dram_event_bytes := !dram_event_bytes + line
-    end;
-    if o.Cache.dram_writeback then begin
-      (* buffered write-back: occupies bandwidth, no added latency *)
-      let bw_t = float_of_int line /. Machine.dram_bw_gbps m ~f_u:!f_u in
-      advance (bw_t *. 0.5);
-      dram_j := !dram_j +. (m.Machine.dram_nj_per_line *. 1e-9);
-      gov_bytes := !gov_bytes + line;
-      dram_event_bytes := !dram_event_bytes + line
-    end;
-    (match uncore with `Governor -> governor_tick () | `Fixed _ -> ())
-  in
-  let on_stmt ~stmt:_ ~flops =
-    total_flops := !total_flops + flops;
-    advance (float_of_int flops *. m.Machine.flop_ns /. thread_factor ())
-  in
-  let on_loop_enter ~var ~depth ~parallel =
-    if parallel then incr parallel_depth;
-    if depth = 0 then
-      match List.assoc_opt var caps with
-      | Some f -> apply_cap f
-      | None -> ()
-  in
-  (* track parallel region exit *)
-  let parallel_stack = ref [] in
-  let cb =
-    {
-      Interp.on_access;
-      on_stmt;
-      on_loop_enter =
-        (fun ~var ~depth ~parallel ->
-          parallel_stack := parallel :: !parallel_stack;
-          on_loop_enter ~var ~depth ~parallel);
-      on_loop_exit =
-        (fun ~var:_ ~depth:_ ->
-          match !parallel_stack with
-          | p :: rest ->
-            parallel_stack := rest;
-            if p then decr parallel_depth
-          | [] -> ());
-    }
-  in
-  let _res = Interp.run ~compute:false prog ~param_values cb in
-  (* final dirty lines drain to DRAM *)
-  let resident_dirty = Cache.flush_writebacks cache in
-  let drain_bytes = resident_dirty * line in
-  let bw_t = float_of_int drain_bytes /. Machine.dram_bw_gbps m ~f_u:!f_u in
-  advance (bw_t *. 0.5);
-  dram_j := !dram_j +. (float_of_int resident_dirty *. m.Machine.dram_nj_per_line *. 1e-9);
-  dram_event_bytes := !dram_event_bytes + drain_bytes;
-  let time_s = !time_ns *. 1e-9 in
-  let static_j = m.Machine.p_static_w *. time_s in
-  let energy_j = !core_j +. !uncore_j +. !dram_j +. static_j in
-  let dram_lines = Cache.dram_reads cache in
-  (* bulk-report the event counts tracked locally during simulation; the
-     per-access path stays telemetry-free *)
-  if Telemetry.is_enabled () then begin
-    Telemetry.add c_cap_switches !cap_switches;
-    Telemetry.add c_gov_switches !gov_switches;
-    Telemetry.add c_dram_lines dram_lines;
-    List.iteri
-      (fun i (g : Machine.cache_geometry) ->
-        let st = (Cache.stats cache).(i) in
-        let level = String.lowercase_ascii g.Machine.level_name in
-        Telemetry.count ~by:st.Cache.hits ("hwsim." ^ level ^ "_hits");
-        Telemetry.count ~by:st.Cache.misses ("hwsim." ^ level ^ "_misses"))
-      m.Machine.caches;
-    Telemetry.observe "hwsim.time_s" time_s;
-    Telemetry.observe "hwsim.energy_j" energy_j
-  end;
-  {
-    time_s;
-    energy_j;
-    edp = energy_j *. time_s;
-    avg_power_w = (if time_s > 0.0 then energy_j /. time_s else 0.0);
-    avg_uncore_ghz =
-      (if !time_ns > 0.0 then !uncore_time_weighted /. !time_ns
-       else !f_u);
-    zones = { core_j = !core_j; uncore_j = !uncore_j; dram_j = !dram_j; static_j };
-    flops = !total_flops;
-    dram_lines;
-    dram_bytes = !dram_event_bytes;
-    cache_stats = Cache.stats cache;
-    cap_switches = !cap_switches;
-    achieved_gflops =
-      (if time_s > 0.0 then float_of_int !total_flops /. time_s /. 1e9 else 0.0);
-    achieved_bw_gbps =
-      (if time_s > 0.0 then
-         float_of_int (dram_lines * line) /. time_s /. 1e9
-       else 0.0);
-  }
-
-let run ~machine ~uncore ?(caps = []) ?(governor_interval_us = 100.0)
-    prog ~param_values =
-  run_single ~machine ~uncore ~caps ~governor_interval_us prog ~param_values
 
 (* --- tenant configuration ------------------------------------------- *)
 
@@ -305,56 +92,420 @@ type multi_outcome = {
   n_tenants : int;
 }
 
+let policy_name = function `Fixed _ -> "fixed" | `Governor -> "governor"
+
+(* --- clocks ---------------------------------------------------------- *)
+
+(* What one clock integrates, as an all-float record: OCaml stores it
+   flat, so the per-event updates below allocate nothing.  [uncore_w],
+   [dram_lat_ns] and [dram_bw] are the machine's curves at [f_u],
+   refreshed by [set_f_u] whenever the clock moves — the same values the
+   curve functions return, computed once per clock change instead of once
+   per event.  All times are in nanoseconds. *)
+type clock = {
+  mutable time_ns : float;
+  mutable core_j : float;
+  mutable uncore_j : float;
+  mutable dram_j : float;
+  mutable uncore_tw : float;  (* ∫ f_u dt, for the time-weighted average *)
+  mutable gov_last_t : float;  (* start of the governor's window *)
+  mutable f_u : float;
+  mutable uncore_w : float;
+  mutable dram_lat_ns : float;
+  mutable dram_bw : float;
+}
+
+let set_f_u m c f =
+  c.f_u <- f;
+  c.uncore_w <- Machine.uncore_power_w m ~f_u:f;
+  c.dram_lat_ns <- Machine.dram_latency_ns m ~f_u:f;
+  c.dram_bw <- Machine.dram_bw_gbps m ~f_u:f
+
+(* a policy's starting clock: pinned, or the governor's floor *)
+let new_clock m uncore =
+  let c =
+    {
+      time_ns = 0.0;
+      core_j = 0.0;
+      uncore_j = 0.0;
+      dram_j = 0.0;
+      uncore_tw = 0.0;
+      gov_last_t = 0.0;
+      f_u = 0.0;
+      uncore_w = 0.0;
+      dram_lat_ns = 0.0;
+      dram_bw = 0.0;
+    }
+  in
+  set_f_u m c
+    (match uncore with
+    | `Fixed f -> clamp m.Machine.uncore_min_ghz m.Machine.uncore_max_ghz f
+    | `Governor -> m.Machine.uncore_min_ghz);
+  c
+
+(* The UFS-like driver's next clock after a window of [dt] ns that moved
+   [bytes] DRAM bytes.  Demand is measured against the capability at the
+   current clock; the driver targets the top of the range under any
+   sustained memory activity (over-provisioning CB phases, cf. Sec. I)
+   but ramps with control-loop latency and decays between phases. *)
+let governor_next m c ~bytes ~dt =
+  let bw_gbps = float_of_int bytes /. dt in
+  let capacity = c.dram_bw in
+  let demand = bw_gbps /. Float.max 1e-9 capacity in
+  let target =
+    if demand > 0.01 then m.Machine.uncore_max_ghz
+    else
+      m.Machine.uncore_min_ghz
+      +. ((m.Machine.uncore_max_ghz -. m.Machine.uncore_min_ghz)
+         *. (demand /. 0.01))
+  in
+  let next =
+    if target > c.f_u then c.f_u +. ((target -. c.f_u) *. 0.5)
+    else c.f_u -. ((c.f_u -. target) *. 0.15)
+  in
+  clamp m.Machine.uncore_min_ghz m.Machine.uncore_max_ghz next
+
+(* an outcome from a clock's totals: [time_ns] is the run's wall time
+   and the zones are its energy, static power aside *)
+let outcome_of m c ~flops ~dram_lines ~dram_bytes ~cache_stats ~cap_switches =
+  let time_s = c.time_ns *. 1e-9 in
+  let static_j = m.Machine.p_static_w *. time_s in
+  let energy_j = c.core_j +. c.uncore_j +. c.dram_j +. static_j in
+  {
+    time_s;
+    energy_j;
+    edp = energy_j *. time_s;
+    avg_power_w = (if time_s > 0.0 then energy_j /. time_s else 0.0);
+    avg_uncore_ghz = (if c.time_ns > 0.0 then c.uncore_tw /. c.time_ns else c.f_u);
+    zones = { core_j = c.core_j; uncore_j = c.uncore_j; dram_j = c.dram_j; static_j };
+    flops;
+    dram_lines;
+    dram_bytes;
+    cache_stats;
+    cap_switches;
+    achieved_gflops =
+      (if time_s > 0.0 then float_of_int flops /. time_s /. 1e9 else 0.0);
+    achieved_bw_gbps =
+      (if time_s > 0.0 then
+         float_of_int (dram_lines * Machine.line_bytes m) /. time_s /. 1e9
+       else 0.0);
+  }
+
+(* --- single-kernel engine: one walk, many clocks --------------------- *)
+
+(* The paper-faithful single-kernel engine: one inclusive cache
+   hierarchy, one trace.  Which line hits where, which fill comes from
+   DRAM and which victim is written back depend only on the access
+   stream, never on the uncore clock, so every policy that shares a
+   (machine, program, parameters) triple shares one trace walk and one
+   cache; each policy keeps its own clock, governor window and cap
+   state, and integrates the same event sequence with the same float
+   expressions, in the same order, as a walk of its own would. *)
+
+type policy = {
+  clk : clock;
+  p_uncore : uncore_policy;
+  p_caps : cap_schedule;
+  gov_interval_ns : float;
+  mutable capped : bool;
+      (* a cap pins the clock for the rest of the run: PolyUFC writes
+         both UFS limits *)
+  mutable cap_switches : int;
+  mutable gov_switches : int;
+  mutable gov_bytes : int;  (* DRAM bytes since the governor's last tick *)
+}
+
+(* advance simulated time, integrating power over the interval *)
+let[@inline] advance m c ~threads dt_ns =
+  if dt_ns > 0.0 then begin
+    c.time_ns <- c.time_ns +. dt_ns;
+    c.core_j <- c.core_j +. (m.Machine.core_w_active *. threads *. dt_ns *. 1e-9);
+    c.uncore_j <- c.uncore_j +. (c.uncore_w *. dt_ns *. 1e-9);
+    c.uncore_tw <- c.uncore_tw +. (c.f_u *. dt_ns)
+  end
+
+let governor_tick m p =
+  let c = p.clk in
+  if (not p.capped) && c.time_ns -. c.gov_last_t >= p.gov_interval_ns then begin
+    let next =
+      governor_next m c ~bytes:p.gov_bytes ~dt:(c.time_ns -. c.gov_last_t)
+    in
+    if Float.abs (next -. c.f_u) > 1e-9 then p.gov_switches <- p.gov_switches + 1;
+    set_f_u m c next;
+    c.gov_last_t <- c.time_ns;
+    p.gov_bytes <- 0
+  end
+
+let apply_cap m p ~threads freq =
+  let c = p.clk in
+  p.cap_switches <- p.cap_switches + 1;
+  (* the MSR write stalls the pipeline for the cap-switch latency; the
+     stall is integrated at the pre-switch clock — the uncore is still
+     running at the old frequency while the write retires *)
+  advance m c ~threads (m.Machine.cap_switch_us *. 1e3);
+  p.capped <- true;
+  set_f_u m c (clamp m.Machine.uncore_min_ghz m.Machine.uncore_max_ghz freq);
+  (* restart the governor's accounting window: bytes observed before the
+     switch were transferred at the old clock, and a later tick must not
+     evaluate them against the new clock's capacity *)
+  c.gov_last_t <- c.time_ns;
+  p.gov_bytes <- 0
+
+(* each outcome owns its counters: the walk's cache is shared *)
+let copy_stats (s : Cache.level_stats) =
+  {
+    Cache.hits = s.Cache.hits;
+    misses = s.Cache.misses;
+    evictions = s.Cache.evictions;
+    writebacks = s.Cache.writebacks;
+  }
+
+(* the walk's thread factor: a one-field float record, so reading it on
+   every event does not box *)
+type thread_factor = { mutable tf : float }
+
+let walk m prog ~param_values (pols : policy array) =
+  let n_pol = Array.length pols in
+  Telemetry.tick c_walks;
+  Telemetry.with_span "hwsim.run"
+    ~args:
+      [
+        ("prog", prog.Ir.prog_name);
+        ("machine", m.Machine.name);
+        ( "uncore",
+          String.concat ","
+            (Array.to_list (Array.map (fun p -> policy_name p.p_uncore) pols)) );
+      ]
+  @@ fun () ->
+  let cache = Cache.create m.Machine.caches in
+  let line = Machine.line_bytes m in
+  let line_f = float_of_int line in
+  let hit_lat =
+    Array.of_list (List.map (fun g -> g.Machine.hit_latency_ns) m.Machine.caches)
+  in
+  let n_levels = Array.length hit_lat in
+  let mlp = m.Machine.mlp in
+  let line_j = m.Machine.dram_nj_per_line *. 1e-9 in
+  let par_threads = float_of_int m.Machine.threads in
+  let w = { tf = 1.0 } in
+  let parallel_depth = ref 0 and parallel_stack = ref [] in
+  let total_flops = ref 0 and dram_event_bytes = ref 0 in
+  let on_access ~stmt:_ ~array:_ ~addr ~bytes:_ ~is_write =
+    let o = Cache.access cache ~addr ~is_write in
+    let tf = w.tf in
+    let level = o.Cache.hit_level in
+    let hit = level < n_levels and wb = o.Cache.dram_writeback in
+    let hit_dt = if hit then hit_lat.(level) /. mlp /. tf else 0.0 in
+    if not hit then dram_event_bytes := !dram_event_bytes + line;
+    if wb then dram_event_bytes := !dram_event_bytes + line;
+    for i = 0 to n_pol - 1 do
+      let p = pols.(i) in
+      let c = p.clk in
+      if hit then advance m c ~threads:tf hit_dt
+      else begin
+        (* DRAM: latency amortized by MLP, bandwidth shared by all threads *)
+        let lat = c.dram_lat_ns /. mlp /. tf in
+        let bw_t = line_f /. c.dram_bw in
+        advance m c ~threads:tf (Float.max lat bw_t);
+        c.dram_j <- c.dram_j +. line_j;
+        p.gov_bytes <- p.gov_bytes + line
+      end;
+      if wb then begin
+        (* buffered write-back: occupies bandwidth, no added latency *)
+        let bw_t = line_f /. c.dram_bw in
+        advance m c ~threads:tf (bw_t *. 0.5);
+        c.dram_j <- c.dram_j +. line_j;
+        p.gov_bytes <- p.gov_bytes + line
+      end;
+      match p.p_uncore with `Governor -> governor_tick m p | `Fixed _ -> ()
+    done
+  in
+  let on_stmt ~stmt:_ ~flops =
+    total_flops := !total_flops + flops;
+    let tf = w.tf in
+    let dt = float_of_int flops *. m.Machine.flop_ns /. tf in
+    for i = 0 to n_pol - 1 do
+      advance m pols.(i).clk ~threads:tf dt
+    done
+  in
+  let on_loop_enter ~var ~depth ~parallel =
+    parallel_stack := parallel :: !parallel_stack;
+    if parallel then begin
+      incr parallel_depth;
+      w.tf <- par_threads
+    end;
+    if depth = 0 then
+      for i = 0 to n_pol - 1 do
+        let p = pols.(i) in
+        match List.assoc_opt var p.p_caps with
+        | Some f -> apply_cap m p ~threads:w.tf f
+        | None -> ()
+      done
+  in
+  let on_loop_exit ~var:_ ~depth:_ =
+    match !parallel_stack with
+    | p :: rest ->
+      parallel_stack := rest;
+      if p then begin
+        decr parallel_depth;
+        if !parallel_depth = 0 then w.tf <- 1.0
+      end
+    | [] -> ()
+  in
+  ignore
+    (Interp.run ~compute:false prog ~param_values
+       { Interp.on_access; on_stmt; on_loop_enter; on_loop_exit });
+  (* final dirty lines drain to DRAM, at each policy's final clock *)
+  let resident_dirty = Cache.flush_writebacks cache in
+  let drain_bytes = resident_dirty * line in
+  dram_event_bytes := !dram_event_bytes + drain_bytes;
+  let dram_lines = Cache.dram_reads cache in
+  let stats = Cache.stats cache in
+  Array.map
+    (fun p ->
+      let c = p.clk in
+      let bw_t = float_of_int drain_bytes /. c.dram_bw in
+      advance m c ~threads:w.tf (bw_t *. 0.5);
+      c.dram_j <-
+        c.dram_j +. (float_of_int resident_dirty *. m.Machine.dram_nj_per_line *. 1e-9);
+      let o =
+        outcome_of m c ~flops:!total_flops ~dram_lines
+          ~dram_bytes:!dram_event_bytes ~cache_stats:(Array.map copy_stats stats)
+          ~cap_switches:p.cap_switches
+      in
+      (* bulk-report per outcome; the per-access path stays
+         telemetry-free *)
+      Telemetry.tick c_runs;
+      if Telemetry.is_enabled () then begin
+        Telemetry.add c_cap_switches p.cap_switches;
+        Telemetry.add c_gov_switches p.gov_switches;
+        Telemetry.add c_dram_lines dram_lines;
+        List.iteri
+          (fun i (g : Machine.cache_geometry) ->
+            let level = String.lowercase_ascii g.Machine.level_name in
+            Telemetry.count ~by:stats.(i).Cache.hits ("hwsim." ^ level ^ "_hits");
+            Telemetry.count ~by:stats.(i).Cache.misses ("hwsim." ^ level ^ "_misses"))
+          m.Machine.caches;
+        Telemetry.observe "hwsim.time_s" o.time_s;
+        Telemetry.observe "hwsim.energy_j" o.energy_j
+      end;
+      o)
+    pols
+
+let policy_of cfg (t : tenant) =
+  {
+    clk = new_clock cfg.machine cfg.uncore;
+    p_uncore = cfg.uncore;
+    p_caps = t.t_caps;
+    gov_interval_ns = cfg.governor_interval_us *. 1e3;
+    capped = false;
+    cap_switches = 0;
+    gov_switches = 0;
+    gov_bytes = 0;
+  }
+
+let run_each cfgs =
+  let with_tenant cfg =
+    match cfg.tenants with
+    | [ t ] -> (cfg, t)
+    | _ -> invalid_arg "Sim.run_each: every config must have one tenant"
+  in
+  match List.map with_tenant cfgs with
+  | [] -> []
+  | (c0, t0) :: _ as all ->
+    List.iter
+      (fun (cfg, t) ->
+        if
+          not
+            ((cfg.machine == c0.machine || cfg.machine = c0.machine)
+            && t.t_prog == t0.t_prog && t.t_params = t0.t_params)
+        then
+          invalid_arg
+            "Sim.run_each: configs must share the machine, the program and \
+             its parameter values")
+      all;
+    Array.to_list
+      (walk c0.machine t0.t_prog ~param_values:t0.t_params
+         (Array.of_list (List.map (fun (cfg, t) -> policy_of cfg t) all)))
+
 (* --- multi-tenant interleaving -------------------------------------- *)
 
-(* Each tenant's trace is a coroutine: the interpreter's push callbacks
-   perform a [Yield] effect per event, and the scheduler resumes the
-   tenant whose local clock is furthest behind — an event-driven merge
-   of N traces over one simulated timeline.  Upper cache levels are
-   private per tenant; the LLC, the DRAM channel and the uncore clock
+(* Each tenant's trace is a coroutine that packs its events into a
+   chunk of [chunk_len] ints and performs one [Chunk_full] effect per
+   full chunk; the scheduler still hands out one event at a time, always
+   to the tenant whose local clock is furthest behind — an event-driven
+   merge of N traces over one simulated timeline.  Upper cache levels
+   are private per tenant; the LLC, the DRAM channel and the uncore clock
    are shared, which is where the interference this simulator exists to
-   expose comes from. *)
+   expose comes from.  The merge order depends on the tenants' clocks, so
+   unlike the single-kernel engine the cache state here depends on the
+   uncore policy: no two policies can share a walk.
 
-type ev =
-  | E_access of { addr : int; is_write : bool }
-  | E_flops of int
-  | E_enter of { var : string; depth : int; parallel : bool }
-  | E_exit
+   Event codes: the kind in the low 3 bits, the payload above them
+   (decoded with [asr], so it may be negative):
+   - [ev_read], [ev_write]: the byte address;
+   - [ev_flops]: the statement's flop count;
+   - [ev_enter]: [cap lsl 1 lor parallel], where [cap] is the index in
+     the tenant's cap schedule of a depth-0 loop's first matching entry
+     ([List.assoc_opt]'s rule), or -1;
+   - [ev_exit]: whether the loop being left was parallel. *)
 
-type _ Effect.t += Yield : ev -> unit Effect.t
+let chunk_len = 1024
+let ev_read = 0
+let ev_write = 1
+let ev_flops = 2
+let ev_enter = 3
+let ev_exit = 4
 
-type step =
-  | Pending of ev * (unit, step) Effect.Deep.continuation
-  | Finished
+type chunk = { buf : int array; mutable len : int }
+type _ Effect.t += Chunk_full : unit Effect.t
+type step = More of (unit, step) Effect.Deep.continuation | Done
 
-let start_trace prog ~param_values : step =
+let cap_index caps var =
+  let rec go i = function
+    | [] -> -1
+    | (v, _) :: rest -> if String.equal v var then i else go (i + 1) rest
+  in
+  go 0 caps
+
+let start_trace (t : tenant) chunk : step =
   let open Effect.Deep in
+  let push code =
+    chunk.buf.(chunk.len) <- code;
+    chunk.len <- chunk.len + 1;
+    if chunk.len = chunk_len then Effect.perform Chunk_full
+  in
+  let parallel_stack = ref [] in
   let cb =
     {
       Interp.on_access =
         (fun ~stmt:_ ~array:_ ~addr ~bytes:_ ~is_write ->
-          Effect.perform (Yield (E_access { addr; is_write })));
-      on_stmt =
-        (fun ~stmt:_ ~flops -> Effect.perform (Yield (E_flops flops)));
+          push ((addr lsl 3) lor if is_write then ev_write else ev_read));
+      on_stmt = (fun ~stmt:_ ~flops -> push ((flops lsl 3) lor ev_flops));
       on_loop_enter =
         (fun ~var ~depth ~parallel ->
-          Effect.perform (Yield (E_enter { var; depth; parallel })));
-      on_loop_exit = (fun ~var:_ ~depth:_ -> Effect.perform (Yield E_exit));
+          parallel_stack := parallel :: !parallel_stack;
+          let cap = if depth = 0 then cap_index t.t_caps var else -1 in
+          push ((((cap lsl 1) lor Bool.to_int parallel) lsl 3) lor ev_enter));
+      on_loop_exit =
+        (fun ~var:_ ~depth:_ ->
+          match !parallel_stack with
+          | p :: rest ->
+            parallel_stack := rest;
+            push ((Bool.to_int p lsl 3) lor ev_exit)
+          | [] -> push ev_exit);
     }
   in
   match_with
-    (fun () -> ignore (Interp.run ~compute:false prog ~param_values cb))
+    (fun () -> ignore (Interp.run ~compute:false t.t_prog ~param_values:t.t_params cb))
     ()
     {
-      retc = (fun () -> Finished);
+      retc = (fun () -> Done);
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Yield ev ->
-            Some
-              (fun (k : (a, step) continuation) ->
-                (Pending (ev, k) : step))
+          | Chunk_full -> Some (fun (k : (a, step) continuation) -> More k)
           | _ -> None);
     }
 
@@ -364,37 +515,49 @@ let addr_stride = 1 lsl 36
 
 type tstate = {
   s_tenant : tenant;
+  s_caps : float array;  (* [t_caps]' frequencies, by [cap_index] *)
   s_base : int;
   s_cores : int;
   s_priv : Cache.t option;
+  s_clk : clock;  (* local time, core and DRAM zones *)
+  s_chunk : chunk;
+  mutable s_pos : int;  (* next unhandled event of [s_chunk] *)
   mutable s_next : step;
-  mutable s_time : float; (* local clock, ns *)
   mutable s_pdepth : int;
-  mutable s_pstack : bool list;
   mutable s_flops : int;
   mutable s_accesses : int;
   mutable s_dram_lines : int;
   mutable s_dram_bytes : int;
-  mutable s_core_j : float;
-  mutable s_dram_j : float;
   mutable s_done : bool;
 }
+
+let[@inline] tf ts = if ts.s_pdepth > 0 then float_of_int ts.s_cores else 1.0
+
+let[@inline] advance_t m ts dt_ns =
+  if dt_ns > 0.0 then begin
+    let c = ts.s_clk in
+    c.time_ns <- c.time_ns +. dt_ns;
+    c.core_j <- c.core_j +. (m.Machine.core_w_active *. tf ts *. dt_ns *. 1e-9)
+  end
 
 let run_multi cfg ~solo =
   Telemetry.tick c_multi_runs;
   let n = List.length cfg.tenants in
   Telemetry.add c_tenants n;
+  Telemetry.add c_walks n;
   Telemetry.with_span "hwsim.simulate"
     ~args:
       [
         ("tenants", string_of_int n);
         ("machine", cfg.machine.Machine.name);
-        ( "uncore",
-          match cfg.uncore with `Fixed _ -> "fixed" | `Governor -> "governor" );
+        ("uncore", policy_name cfg.uncore);
       ]
   @@ fun () ->
   let m = cfg.machine in
   let line = Machine.line_bytes m in
+  let line_f = float_of_int line in
+  let line_j = m.Machine.dram_nj_per_line *. 1e-9 in
+  let mlp = m.Machine.mlp in
   let geoms = Array.of_list m.Machine.caches in
   let n_levels = Array.length geoms in
   let hit_lat = Array.map (fun g -> g.Machine.hit_latency_ns) geoms in
@@ -405,118 +568,87 @@ let run_multi cfg ~solo =
     Array.of_list
       (List.mapi
          (fun i t ->
+           let chunk = { buf = Array.make chunk_len 0; len = 0 } in
            {
              s_tenant = t;
+             s_caps = Array.of_list (List.map snd t.t_caps);
              s_base = i * addr_stride;
              s_cores = (if t.t_cores > 0 then t.t_cores else fair_cores);
              s_priv =
                (if priv_geoms = [] then None else Some (Cache.create priv_geoms));
-             s_next = start_trace t.t_prog ~param_values:t.t_params;
-             s_time = 0.0;
+             s_clk = new_clock m cfg.uncore;
+             s_chunk = chunk;
+             s_pos = 0;
+             s_next = start_trace t chunk;
              s_pdepth = 0;
-             s_pstack = [];
              s_flops = 0;
              s_accesses = 0;
              s_dram_lines = 0;
              s_dram_bytes = 0;
-             s_core_j = 0.0;
-             s_dram_j = 0.0;
              s_done = false;
            })
          cfg.tenants)
   in
   let n_active = ref n in
-  (* shared uncore clock + governor, as in the single-kernel engine *)
-  let cap = ref None in
-  let f_u =
-    ref
-      (match cfg.uncore with
-      | `Fixed f -> clamp m.Machine.uncore_min_ghz m.Machine.uncore_max_ghz f
-      | `Governor -> m.Machine.uncore_min_ghz)
-  in
-  let cap_switches = ref 0 in
-  let gov_switches = ref 0 in
-  let gov_last_g = ref 0.0 in
-  let gov_bytes = ref 0 in
+  (* the shared uncore clock: [time_ns] is how far along the global
+     timeline — the minimum of the unfinished tenants' clocks, which is
+     non-decreasing because the scheduler always steps the tenant
+     furthest behind — the uncore zone has been integrated; its governor
+     window runs on that timeline too *)
+  let uc = new_clock m cfg.uncore in
+  let capped = ref false in
+  let cap_switches = ref 0 and gov_switches = ref 0 and gov_bytes = ref 0 in
   let governor_interval_ns = cfg.governor_interval_us *. 1e3 in
-  (* uncore energy integrates over the global timeline: the minimum of
-     the unfinished tenants' clocks, which is non-decreasing because the
-     scheduler always steps the tenant furthest behind *)
-  let last_g = ref 0.0 in
-  let uncore_j = ref 0.0 in
-  let uncore_tw = ref 0.0 in
   let gmin () =
     let g = ref Float.infinity in
-    Array.iter (fun ts -> if not ts.s_done && ts.s_time < !g then g := ts.s_time) states;
-    if !g = Float.infinity then !last_g else !g
+    for i = 0 to n - 1 do
+      let ts = states.(i) in
+      if (not ts.s_done) && ts.s_clk.time_ns < !g then g := ts.s_clk.time_ns
+    done;
+    if !g = Float.infinity then uc.time_ns else !g
   in
   (* exact for piecewise-constant f_u: called right before every clock
      change, and once more at the end of the run *)
   let sync_global () =
     let g = gmin () in
-    if g > !last_g then begin
-      let dt = g -. !last_g in
-      uncore_j := !uncore_j +. (Machine.uncore_power_w m ~f_u:!f_u *. dt *. 1e-9);
-      uncore_tw := !uncore_tw +. (!f_u *. dt);
-      last_g := g
+    if g > uc.time_ns then begin
+      let dt = g -. uc.time_ns in
+      uc.uncore_j <- uc.uncore_j +. (uc.uncore_w *. dt *. 1e-9);
+      uc.uncore_tw <- uc.uncore_tw +. (uc.f_u *. dt);
+      uc.time_ns <- g
     end
   in
   let governor_tick () =
     let g = gmin () in
-    if !cap = None && g -. !gov_last_g >= governor_interval_ns then begin
-      let dt = g -. !gov_last_g in
-      let bw_gbps = float_of_int !gov_bytes /. dt in
-      let capacity = Machine.dram_bw_gbps m ~f_u:!f_u in
-      let demand = bw_gbps /. Float.max 1e-9 capacity in
-      let target =
-        if demand > 0.01 then m.Machine.uncore_max_ghz
-        else
-          m.Machine.uncore_min_ghz
-          +. ((m.Machine.uncore_max_ghz -. m.Machine.uncore_min_ghz)
-             *. (demand /. 0.01))
-      in
-      let next =
-        if target > !f_u then !f_u +. ((target -. !f_u) *. 0.5)
-        else !f_u -. ((!f_u -. target) *. 0.15)
-      in
-      let next = clamp m.Machine.uncore_min_ghz m.Machine.uncore_max_ghz next in
-      if Float.abs (next -. !f_u) > 1e-9 then begin
+    if (not !capped) && g -. uc.gov_last_t >= governor_interval_ns then begin
+      let next = governor_next m uc ~bytes:!gov_bytes ~dt:(g -. uc.gov_last_t) in
+      if Float.abs (next -. uc.f_u) > 1e-9 then begin
         incr gov_switches;
         sync_global ();
-        f_u := next
+        set_f_u m uc next
       end;
-      gov_last_g := g;
+      uc.gov_last_t <- g;
       gov_bytes := 0
-    end
-  in
-  let tf ts = if ts.s_pdepth > 0 then float_of_int ts.s_cores else 1.0 in
-  let advance_t ts dt_ns =
-    if dt_ns > 0.0 then begin
-      ts.s_time <- ts.s_time +. dt_ns;
-      ts.s_core_j <-
-        ts.s_core_j +. (m.Machine.core_w_active *. tf ts *. dt_ns *. 1e-9)
     end
   in
   (* the DRAM channel is shared: each unfinished tenant gets an equal
      slice of the bandwidth available at the current uncore clock *)
-  let shared_bw () =
-    Machine.dram_bw_gbps m ~f_u:!f_u /. float_of_int (max 1 !n_active)
-  in
+  let shared_bw () = uc.dram_bw /. float_of_int (max 1 !n_active) in
   let dram_fill ts tfv =
-    let lat = Machine.dram_latency_ns m ~f_u:!f_u /. m.Machine.mlp /. tfv in
-    let bw_t = float_of_int line /. shared_bw () in
-    advance_t ts (Float.max lat bw_t);
+    let lat = uc.dram_lat_ns /. mlp /. tfv in
+    let bw_t = line_f /. shared_bw () in
+    advance_t m ts (Float.max lat bw_t);
     ts.s_dram_lines <- ts.s_dram_lines + 1;
     ts.s_dram_bytes <- ts.s_dram_bytes + line;
-    ts.s_dram_j <- ts.s_dram_j +. (m.Machine.dram_nj_per_line *. 1e-9);
+    ts.s_clk.dram_j <- ts.s_clk.dram_j +. line_j;
     gov_bytes := !gov_bytes + line
   in
   let dram_writeback ts =
     (* buffered write-back: occupies the shared channel, no added latency *)
-    let bw_t = float_of_int line /. shared_bw () in
-    advance_t ts (bw_t *. 0.5);
+    let bw_t = line_f /. shared_bw () in
+    advance_t m ts (bw_t *. 0.5);
     ts.s_dram_bytes <- ts.s_dram_bytes + line;
-    ts.s_dram_j <- ts.s_dram_j +. (m.Machine.dram_nj_per_line *. 1e-9);
+    ts.s_clk.dram_j <- ts.s_clk.dram_j +. line_j;
     gov_bytes := !gov_bytes + line
   in
   let apply_cap ts freq =
@@ -524,17 +656,16 @@ let run_multi cfg ~solo =
     sync_global ();
     (* the MSR write stalls the issuing tenant; the clock change is
        global and takes effect once the write retires *)
-    advance_t ts (m.Machine.cap_switch_us *. 1e3);
-    let f = clamp m.Machine.uncore_min_ghz m.Machine.uncore_max_ghz freq in
-    cap := Some f;
-    f_u := f;
-    gov_last_g := gmin ();
+    advance_t m ts (m.Machine.cap_switch_us *. 1e3);
+    capped := true;
+    set_f_u m uc (clamp m.Machine.uncore_min_ghz m.Machine.uncore_max_ghz freq);
+    uc.gov_last_t <- gmin ();
     gov_bytes := 0
   in
   let llc_access ts ~addr ~is_write ~tfv =
     let o = Cache.access llc ~addr ~is_write in
     if o.Cache.hit_level < 1 then
-      advance_t ts (hit_lat.(n_levels - 1) /. m.Machine.mlp /. tfv)
+      advance_t m ts (hit_lat.(n_levels - 1) /. mlp /. tfv)
     else dram_fill ts tfv;
     if o.Cache.dram_writeback then dram_writeback ts
   in
@@ -546,7 +677,7 @@ let run_multi cfg ~solo =
     | Some pc ->
       let o = Cache.access pc ~addr ~is_write in
       if o.Cache.hit_level < n_levels - 1 then
-        advance_t ts (hit_lat.(o.Cache.hit_level) /. m.Machine.mlp /. tfv)
+        advance_t m ts (hit_lat.(o.Cache.hit_level) /. mlp /. tfv)
       else llc_access ts ~addr ~is_write:false ~tfv;
       (* a dirty line displaced from the private hierarchy drains through
          the shared write buffer *)
@@ -554,24 +685,19 @@ let run_multi cfg ~solo =
     | None -> llc_access ts ~addr ~is_write ~tfv);
     match cfg.uncore with `Governor -> governor_tick () | `Fixed _ -> ()
   in
-  let handle_event ts = function
-    | E_access { addr; is_write } -> handle_access ts ~addr ~is_write
-    | E_flops k ->
-      ts.s_flops <- ts.s_flops + k;
-      advance_t ts (float_of_int k *. m.Machine.flop_ns /. tf ts)
-    | E_enter { var; depth; parallel } ->
-      ts.s_pstack <- parallel :: ts.s_pstack;
-      if parallel then ts.s_pdepth <- ts.s_pdepth + 1;
-      if depth = 0 then (
-        match List.assoc_opt var ts.s_tenant.t_caps with
-        | Some f -> apply_cap ts f
-        | None -> ())
-    | E_exit -> (
-      match ts.s_pstack with
-      | p :: rest ->
-        ts.s_pstack <- rest;
-        if p then ts.s_pdepth <- ts.s_pdepth - 1
-      | [] -> ())
+  let handle_event ts code =
+    let kind = code land 7 and payload = code asr 3 in
+    if kind <= ev_write then handle_access ts ~addr:payload ~is_write:(kind = ev_write)
+    else if kind = ev_flops then begin
+      ts.s_flops <- ts.s_flops + payload;
+      advance_t m ts (float_of_int payload *. m.Machine.flop_ns /. tf ts)
+    end
+    else if kind = ev_enter then begin
+      if payload land 1 = 1 then ts.s_pdepth <- ts.s_pdepth + 1;
+      let cap = payload asr 1 in
+      if cap >= 0 then apply_cap ts ts.s_caps.(cap)
+    end
+    else if payload = 1 then ts.s_pdepth <- ts.s_pdepth - 1
   in
   let finish ts =
     (* the tenant's private dirty lines drain to DRAM as it retires *)
@@ -581,10 +707,10 @@ let run_multi cfg ~solo =
       if dirty > 0 then begin
         let bytes = dirty * line in
         let bw_t = float_of_int bytes /. shared_bw () in
-        advance_t ts (bw_t *. 0.5);
+        advance_t m ts (bw_t *. 0.5);
         ts.s_dram_bytes <- ts.s_dram_bytes + bytes;
-        ts.s_dram_j <-
-          ts.s_dram_j
+        ts.s_clk.dram_j <-
+          ts.s_clk.dram_j
           +. (float_of_int dirty *. m.Machine.dram_nj_per_line *. 1e-9);
         gov_bytes := !gov_bytes + bytes
       end
@@ -592,53 +718,56 @@ let run_multi cfg ~solo =
     ts.s_done <- true;
     decr n_active
   in
+  (* the unfinished tenant furthest behind; ties go to the first *)
   let pick () =
     let best = ref (-1) in
-    Array.iteri
-      (fun i ts ->
-        if not ts.s_done then
-          if !best < 0 || ts.s_time < states.(!best).s_time then best := i)
-      states;
+    for i = 0 to n - 1 do
+      let ts = states.(i) in
+      if
+        (not ts.s_done)
+        && (!best < 0 || ts.s_clk.time_ns < states.(!best).s_clk.time_ns)
+      then best := i
+    done;
     states.(!best)
   in
   while !n_active > 0 do
     let ts = pick () in
-    match ts.s_next with
-    | Finished -> finish ts
-    | Pending (ev, k) ->
-      handle_event ts ev;
-      ts.s_next <- Effect.Deep.continue k ()
+    if ts.s_pos < ts.s_chunk.len then begin
+      let code = ts.s_chunk.buf.(ts.s_pos) in
+      ts.s_pos <- ts.s_pos + 1;
+      handle_event ts code
+    end
+    else
+      (* chunk used up: refill it (the next pick is this tenant again,
+         nothing having moved its clock) or retire the tenant *)
+      match ts.s_next with
+      | Done -> finish ts
+      | More k ->
+        ts.s_chunk.len <- 0;
+        ts.s_pos <- 0;
+        ts.s_next <- Effect.Deep.continue k ()
   done;
   (* drain the shared LLC's resident dirty lines at the final clock *)
   let llc_dirty = Cache.flush_writebacks llc in
   let drain_bytes = llc_dirty * line in
-  let drain_ns =
-    float_of_int drain_bytes /. Machine.dram_bw_gbps m ~f_u:!f_u *. 0.5
-  in
+  let drain_ns = float_of_int drain_bytes /. uc.dram_bw *. 0.5 in
   let drain_j = float_of_int llc_dirty *. m.Machine.dram_nj_per_line *. 1e-9 in
   let wall_ns =
-    Array.fold_left (fun acc ts -> Float.max acc ts.s_time) 0.0 states
+    Array.fold_left (fun acc ts -> Float.max acc ts.s_clk.time_ns) 0.0 states
     +. drain_ns
   in
-  (* close the uncore integral out to the end of the run *)
-  if wall_ns > !last_g then begin
-    let dt = wall_ns -. !last_g in
-    uncore_j := !uncore_j +. (Machine.uncore_power_w m ~f_u:!f_u *. dt *. 1e-9);
-    uncore_tw := !uncore_tw +. (!f_u *. dt);
-    last_g := wall_ns
+  (* close the uncore integral out to the end of the run; the shared
+     clock then holds the machine's totals *)
+  if wall_ns > uc.time_ns then begin
+    let dt = wall_ns -. uc.time_ns in
+    uc.uncore_j <- uc.uncore_j +. (uc.uncore_w *. dt *. 1e-9);
+    uc.uncore_tw <- uc.uncore_tw +. (uc.f_u *. dt)
   end;
-  let wall_s = wall_ns *. 1e-9 in
-  let static_j = m.Machine.p_static_w *. wall_s in
-  let core_j = Array.fold_left (fun a ts -> a +. ts.s_core_j) 0.0 states in
-  let dram_j =
-    Array.fold_left (fun a ts -> a +. ts.s_dram_j) 0.0 states +. drain_j
-  in
-  let energy_j = core_j +. !uncore_j +. dram_j +. static_j in
-  let total_flops = Array.fold_left (fun a ts -> a + ts.s_flops) 0 states in
+  uc.time_ns <- wall_ns;
+  uc.core_j <- Array.fold_left (fun a ts -> a +. ts.s_clk.core_j) 0.0 states;
+  uc.dram_j <-
+    Array.fold_left (fun a ts -> a +. ts.s_clk.dram_j) 0.0 states +. drain_j;
   let dram_lines = Array.fold_left (fun a ts -> a + ts.s_dram_lines) 0 states in
-  let dram_bytes =
-    Array.fold_left (fun a ts -> a + ts.s_dram_bytes) 0 states + drain_bytes
-  in
   let cache_stats =
     Array.init n_levels (fun i ->
         if i = n_levels - 1 then (Cache.stats llc).(0)
@@ -658,63 +787,46 @@ let run_multi cfg ~solo =
             { Cache.hits = 0; misses = 0; evictions = 0; writebacks = 0 }
             states)
   in
+  let combined =
+    outcome_of m uc
+      ~flops:(Array.fold_left (fun a ts -> a + ts.s_flops) 0 states)
+      ~dram_lines
+      ~dram_bytes:
+        (Array.fold_left (fun a ts -> a + ts.s_dram_bytes) 0 states + drain_bytes)
+      ~cache_stats ~cap_switches:!cap_switches
+  in
   if Telemetry.is_enabled () then begin
     Telemetry.add c_cap_switches !cap_switches;
     Telemetry.add c_gov_switches !gov_switches;
     Telemetry.add c_dram_lines dram_lines;
-    Telemetry.observe "hwsim.time_s" wall_s;
-    Telemetry.observe "hwsim.energy_j" energy_j
+    Telemetry.observe "hwsim.time_s" combined.time_s;
+    Telemetry.observe "hwsim.energy_j" combined.energy_j
   end;
-  let combined =
-    {
-      time_s = wall_s;
-      energy_j;
-      edp = energy_j *. wall_s;
-      avg_power_w = (if wall_s > 0.0 then energy_j /. wall_s else 0.0);
-      avg_uncore_ghz =
-        (if wall_ns > 0.0 then !uncore_tw /. wall_ns else !f_u);
-      zones = { core_j; uncore_j = !uncore_j; dram_j; static_j };
-      flops = total_flops;
-      dram_lines;
-      dram_bytes;
-      cache_stats;
-      cap_switches = !cap_switches;
-      achieved_gflops =
-        (if wall_s > 0.0 then float_of_int total_flops /. wall_s /. 1e9
-         else 0.0);
-      achieved_bw_gbps =
-        (if wall_s > 0.0 then
-           float_of_int (dram_lines * line) /. wall_s /. 1e9
-         else 0.0);
-    }
-  in
   (* shared energy (uncore + static) is attributed by residency: a
      tenant that occupies the machine longer answers for more of the
      always-on power *)
-  let busy_total = Array.fold_left (fun a ts -> a +. ts.s_time) 0.0 states in
-  let shared_j = !uncore_j +. static_j +. drain_j in
+  let busy_total = Array.fold_left (fun a ts -> a +. ts.s_clk.time_ns) 0.0 states in
+  let shared_j = uc.uncore_j +. combined.zones.static_j +. drain_j in
   let per_tenant =
     Array.to_list
       (Array.map
          (fun ts ->
-           let time_s = ts.s_time *. 1e-9 in
+           let t = ts.s_tenant in
+           let time_s = ts.s_clk.time_ns *. 1e-9 in
            let share =
-             if busy_total > 0.0 then ts.s_time /. busy_total
+             if busy_total > 0.0 then ts.s_clk.time_ns /. busy_total
              else 1.0 /. float_of_int n
            in
            let solo_time_s =
              if solo then
-               (run_single ~machine:m ~uncore:cfg.uncore
-                  ~caps:ts.s_tenant.t_caps
-                  ~governor_interval_us:cfg.governor_interval_us
-                  ts.s_tenant.t_prog ~param_values:ts.s_tenant.t_params)
-                 .time_s
+               (run_each [ { cfg with tenants = [ t ] } ] |> List.hd).time_s
              else Float.nan
            in
            {
-             o_tenant = ts.s_tenant.t_name;
+             o_tenant = t.t_name;
              o_time_s = time_s;
-             o_energy_j = ts.s_core_j +. ts.s_dram_j +. (shared_j *. share);
+             o_energy_j =
+               ts.s_clk.core_j +. ts.s_clk.dram_j +. (shared_j *. share);
              o_flops = ts.s_flops;
              o_accesses = ts.s_accesses;
              o_dram_lines = ts.s_dram_lines;
@@ -739,11 +851,7 @@ let simulate ?(solo = true) cfg =
   match cfg.tenants with
   | [] -> invalid_arg "Sim.simulate: empty tenant list"
   | [ t ] ->
-    let o =
-      run_single ~machine:cfg.machine ~uncore:cfg.uncore ~caps:t.t_caps
-        ~governor_interval_us:cfg.governor_interval_us t.t_prog
-        ~param_values:t.t_params
-    in
+    let o = List.hd (run_each [ cfg ]) in
     let accesses =
       if Array.length o.cache_stats > 0 then
         o.cache_stats.(0).Cache.hits + o.cache_stats.(0).Cache.misses

@@ -18,15 +18,15 @@
       changes (from the compiled-in cap schedule) cost the machine's
       cap-switch latency and restart the governor's accounting window.
 
-    Since the multi-tenant redesign the canonical entry point is a
-    {!config} record holding one {!tenant} per co-scheduled program.  A
-    single tenant runs the paper-faithful single-kernel engine (one
-    inclusive hierarchy); two or more tenants are interleaved
-    event-by-event over private upper cache levels, a shared LLC, a
-    shared DRAM channel (equal slices of the bandwidth at the current
-    clock) and one shared uncore clock — any tenant's cap schedule
-    writes the one MSR everyone reads, which is the interference
-    {!Cap_arbiter} exists to arbitrate away.
+    The entry point is a {!config} record holding one {!tenant} per
+    co-scheduled program.  A single tenant runs the paper-faithful
+    single-kernel engine (one inclusive hierarchy), which {!run_each}
+    drives for several uncore policies in one trace walk; two or more
+    tenants are interleaved event by event over private upper cache
+    levels, a shared LLC, a shared DRAM channel (equal slices of the
+    bandwidth at the current clock) and one shared uncore clock — any
+    tenant's cap schedule writes the one MSR everyone reads, which is
+    the interference {!Cap_arbiter} exists to arbitrate away.
 
     Relative comparisons (capped code vs. the governor baseline on the same
     machine) are the meaningful output, as in the paper. *)
@@ -123,30 +123,30 @@ type multi_outcome = {
 
 val simulate : ?solo:bool -> config -> multi_outcome
 (** Run a tenant set.  One tenant takes the exact single-kernel path
-    ({!run} is byte-identical to a one-tenant [simulate]); two or more
-    are interleaved over the shared LLC / DRAM / uncore clock.  With
-    [solo] (default [true]) each tenant is additionally run alone under
-    the same policy to report [o_slowdown]; pass [~solo:false] to skip
-    those baseline runs. *)
+    ([simulate] of a one-tenant config is [run_each [cfg]] with per-tenant
+    fields derived from it); two or more are interleaved over the shared
+    LLC / DRAM / uncore clock.  With [solo] (default [true]) each tenant
+    is additionally run alone under the same policy to report
+    [o_slowdown]; pass [~solo:false] to skip those baseline runs. *)
 
 val run_one : config -> outcome
-(** [combined] of [simulate ~solo:false] — the record-API equivalent of
-    {!run} for callers that want a single aggregate outcome. *)
+(** [combined] of [simulate ~solo:false]: a single aggregate outcome. *)
 
-(** {1 Legacy entry point} *)
+val run_each : config list -> outcome list
+(** [run_each cfgs] equals [List.map run_one cfgs], bit for bit, but
+    walks the trace once: one [Interp] run and one cache access per event
+    serve every config.  This is exact because in the single-kernel
+    engine which line hits at which level, which fill comes from DRAM
+    and which victim is written back depend only on the access stream,
+    never on the uncore clock; each config keeps its own clock, energy
+    zones, governor window and cap schedule.
 
-val run :
-  machine:Machine.t ->
-  uncore:uncore_policy ->
-  ?caps:cap_schedule ->
-  ?governor_interval_us:float ->
-  Poly_ir.Ir.t ->
-  param_values:(string * int) list ->
-  outcome
-(** Deprecated compat wrapper over the single-kernel engine: equivalent
-    to [run_one (config ~machine ~uncore [tenant ~caps ... prog])].
-    Kept so pre-multi-tenant callers compile; new code should build a
-    {!config}. *)
+    Every config must have exactly one tenant, and all of them the same
+    machine, the same program (physically equal) and equal parameter
+    values; [uncore], [governor_interval_us] and the tenant's [caps] may
+    differ.  Otherwise raises [Invalid_argument].  Each outcome owns its
+    [cache_stats].  Telemetry: [hwsim.runs] counts one per outcome and
+    [hwsim.walks] one per walk, which has one [hwsim.run] span. *)
 
 (** {1 Persistence} *)
 

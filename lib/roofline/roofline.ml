@@ -102,10 +102,16 @@ let chase_kernel ~lines ~reps ~line_elems =
       ];
   }
 
-let run m ~f_u prog =
-  Hwsim.Sim.run_one
-    (Hwsim.Sim.config ~machine:m ~uncore:(`Fixed f_u)
-       [ Hwsim.Sim.tenant ~name:"microbench" prog ])
+(* [prog] pinned at each of [freqs], in one trace walk *)
+let sweep m prog freqs =
+  let tenant = Hwsim.Sim.tenant ~name:"microbench" prog in
+  List.combine freqs
+    (Hwsim.Sim.run_each
+       (List.map
+          (fun f -> Hwsim.Sim.config ~machine:m ~uncore:(`Fixed f) [ tenant ])
+          freqs))
+
+let run m ~f_u prog = snd (List.hd (sweep m prog [ f_u ]))
 
 let microbench (m : Hwsim.Machine.t) =
   let fmax = m.Hwsim.Machine.uncore_max_ghz in
@@ -130,15 +136,8 @@ let microbench (m : Hwsim.Machine.t) =
   let triad =
     triad_kernel ~elems:(4 * llc_bytes / 8) ~reps:2
   in
-  let freqs = Hwsim.Machine.uncore_freqs m in
-  let sweep =
-    List.map
-      (fun f ->
-        let o = run m ~f_u:f triad in
-        (f, o))
-      freqs
-  in
-  let bws = List.map (fun (f, o) -> (f, o.Hwsim.Sim.achieved_bw_gbps)) sweep in
+  let triad_pts = sweep m triad (Hwsim.Machine.uncore_freqs m) in
+  let bws = List.map (fun (f, o) -> (f, o.Hwsim.Sim.achieved_bw_gbps)) triad_pts in
   let peak_bw_gbps =
     List.fold_left (fun acc (_, bw) -> Float.max acc bw) 0.0 bws
   in
@@ -160,7 +159,7 @@ let microbench (m : Hwsim.Machine.t) =
          (fun (_f, o) ->
            ( o.Hwsim.Sim.achieved_bw_gbps,
              o.Hwsim.Sim.zones.Hwsim.Sim.dram_j /. o.Hwsim.Sim.time_s ))
-         sweep)
+         triad_pts)
   in
   (* uncore power fit (RAPL uncore zone) *)
   let alpha_p, gamma_p =
@@ -168,14 +167,13 @@ let microbench (m : Hwsim.Machine.t) =
       (List.map
          (fun (f, o) ->
            (f, o.Hwsim.Sim.zones.Hwsim.Sim.uncore_j /. o.Hwsim.Sim.time_s))
-         sweep)
+         triad_pts)
   in
   (* --- miss penalty curve M^t(f) = a/f + b from the line chase --- *)
   let chase = chase_kernel ~lines:(4 * llc_bytes / line) ~reps:2 ~line_elems in
   let chase_pts =
     List.filter_map
-      (fun f ->
-        let o = run m ~f_u:f chase in
+      (fun (f, o) ->
         let misses = float_of_int o.Hwsim.Sim.dram_lines in
         if misses > 0.0 then
           (* remove the compute component *)
@@ -186,9 +184,10 @@ let microbench (m : Hwsim.Machine.t) =
           in
           Some (f, per_miss)
         else None)
-      [ m.Hwsim.Machine.uncore_min_ghz;
-        (m.Hwsim.Machine.uncore_min_ghz +. fmax) /. 2.0;
-        fmax ]
+      (sweep m chase
+         [ m.Hwsim.Machine.uncore_min_ghz;
+           (m.Hwsim.Machine.uncore_min_ghz +. fmax) /. 2.0;
+           fmax ])
   in
   let miss_lat_a, miss_lat_b = Linalg.Fit.inverse_plus_const chase_pts in
   (* --- per-level hit costs ---

@@ -438,6 +438,34 @@ let test_evaluate_store_recovery () =
   Alcotest.(check bool) "stats_by_kind lists sim/v1" true
     (List.mem_assoc R.kind_sim (R.stats_by_kind store))
 
+(* hwsim.walks counts trace walks beside hwsim.runs' outcomes: policies
+   that share a program share a walk *)
+let test_sim_walks () =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+  @@ fun () ->
+  let counts () =
+    (Telemetry.counter_value "hwsim.runs", Telemetry.counter_value "hwsim.walks")
+  in
+  let delta f =
+    let r0, w0 = counts () in
+    f ();
+    let r1, w1 = counts () in
+    (r1 - r0, w1 - w0)
+  in
+  let bdw = Hwsim.Machine.bdw in
+  let c = compile_gemm 32 in
+  Alcotest.(check (pair int int)) "uncached Flow.evaluate: 2 runs, 1 walk" (2, 1)
+    (delta (fun () ->
+         ignore (Flow.evaluate ~machine:bdw c ~param_values:[ ("n", 32) ])));
+  let n_levels = List.length bdw.Hwsim.Machine.caches in
+  Alcotest.(check (pair int int)) "BDW campaign: 24 runs, 3 + n_levels walks"
+    (24, 3 + n_levels)
+    (delta (fun () -> ignore (Roofline.microbench bdw)))
+
 let scatter_tests =
   [
     Alcotest.test_case "scatter point math" `Quick test_scatter_point_math;
@@ -451,6 +479,7 @@ let scatter_tests =
       test_fleet_analyze_end_to_end;
     Alcotest.test_case "flow evaluate through the store" `Quick
       test_evaluate_store_recovery;
+    Alcotest.test_case "simulations share trace walks" `Quick test_sim_walks;
   ]
 
 let tests = tests @ extension_tests @ scatter_tests

@@ -140,12 +140,13 @@ program stream(n) {
 }
 |}
 
-(* the record API; the `Governor tests below keep exercising the thin
-   [Sim.run] compat wrapper *)
-let run_fixed ?(caps = []) prog n f =
+let run_policy ?(caps = []) uncore prog n =
   Sim.run_one
-    (Sim.config ~machine:Machine.bdw ~uncore:(`Fixed f)
+    (Sim.config ~machine:Machine.bdw ~uncore
        [ Sim.tenant ~caps ~param_values:[ ("n", n) ] ~name:"t" prog ])
+
+let run_fixed ?caps prog n f = run_policy ?caps (`Fixed f) prog n
+let run_governor ?caps prog n = run_policy ?caps `Governor prog n
 
 let test_cb_time_flat () =
   let tiled = Poly_ir.Tiling.tile_program ~tile_size:32 gemm in
@@ -177,10 +178,7 @@ let test_flop_accounting () =
 
 let test_governor_tracks_demand () =
   (* streaming load: governor should run the uncore near max *)
-  let o =
-    Sim.run ~machine:Machine.bdw ~uncore:`Governor stream
-      ~param_values:[ ("n", 300_000) ]
-  in
+  let o = run_governor stream 300_000 in
   Alcotest.(check bool) "governor near max on BB" true
     (o.Sim.avg_uncore_ghz > 2.4)
 
@@ -194,17 +192,11 @@ let test_caps_apply () =
   (* size chosen so the run is long enough (≈1 ms) to amortize the 35 µs
      cap-switch latency, as in the paper's benchmarks *)
   let n = 144 in
-  let o =
-    Sim.run ~machine:Machine.bdw ~uncore:`Governor
-      ~caps:[ (var, 1.2) ] tiled ~param_values:[ ("n", n) ]
-  in
+  let o = run_governor ~caps:[ (var, 1.2) ] tiled n in
   Alcotest.(check int) "one cap switch" 1 o.Sim.cap_switches;
   Alcotest.(check bool) "uncore held at cap" true (o.Sim.avg_uncore_ghz < 1.4);
   (* capped CB beats the governor baseline on energy *)
-  let base =
-    Sim.run ~machine:Machine.bdw ~uncore:`Governor tiled
-      ~param_values:[ ("n", n) ]
-  in
+  let base = run_governor tiled n in
   Alcotest.(check bool) "capped saves energy" true (o.Sim.energy_j < base.Sim.energy_j)
 
 let test_cap_switch_costs_time () =
@@ -233,10 +225,7 @@ let test_cap_switch_energy_accounting () =
     | Poly_ir.Ir.Loop l :: _ -> l.Poly_ir.Ir.var
     | _ -> Alcotest.fail "expected loop"
   in
-  let o =
-    Sim.run ~machine:Machine.bdw ~uncore:`Governor ~caps:[ (var, 1.2) ] tiled
-      ~param_values:[ ("n", 144) ]
-  in
+  let o = run_governor ~caps:[ (var, 1.2) ] tiled 144 in
   Alcotest.(check int) "one cap switch" 1 o.Sim.cap_switches;
   let z = o.Sim.zones in
   Alcotest.(check (float 1e-9)) "zones close across the switch"
@@ -250,10 +239,7 @@ let test_cap_switch_energy_accounting () =
     (o.Sim.avg_uncore_ghz < 1.4);
   (* deterministic: the switch must not leave the accounting dependent
      on governor-window phase *)
-  let o2 =
-    Sim.run ~machine:Machine.bdw ~uncore:`Governor ~caps:[ (var, 1.2) ] tiled
-      ~param_values:[ ("n", 144) ]
-  in
+  let o2 = run_governor ~caps:[ (var, 1.2) ] tiled 144 in
   Alcotest.(check (float 0.0)) "energy reproducible" o.Sim.energy_j
     o2.Sim.energy_j;
   Alcotest.(check (float 0.0)) "avg uncore reproducible" o.Sim.avg_uncore_ghz

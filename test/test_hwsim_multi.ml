@@ -51,21 +51,30 @@ let t ?caps ?weight ?cores ~name ~n prog =
 
 (* ---------- single-tenant compat ---------- *)
 
-let test_run_equals_one_tenant_simulate () =
-  (* the deprecated Sim.run wrapper and a one-tenant config must agree
-     exactly: same engine, same numbers *)
-  let legacy =
-    Sim.run ~machine:Machine.bdw ~uncore:(`Fixed 2.0) gemm
-      ~param_values:[ ("n", 24) ]
+let test_run_each_one_equals_oracle () =
+  (* the lockstep engine driving one policy, a one-tenant simulate and
+     the replaced single-kernel engine must agree exactly *)
+  let c = cfg [ t ~name:"gemm" ~n:24 gemm ] in
+  let oracle =
+    Sim_oracle.run_single ~machine:Machine.bdw ~uncore:(`Fixed 2.0) ~caps:[]
+      ~governor_interval_us:100.0 gemm ~param_values:[ ("n", 24) ]
   in
-  let multi = Sim.simulate ~solo:false (cfg [ t ~name:"gemm" ~n:24 gemm ]) in
+  let each =
+    match Sim.run_each [ c ] with
+    | [ o ] -> o
+    | l -> Alcotest.failf "run_each [cfg] gave %d outcomes" (List.length l)
+  in
+  let multi = Sim.simulate ~solo:false c in
   let o = multi.Sim.combined in
   Alcotest.(check int) "one tenant" 1 multi.Sim.n_tenants;
-  Alcotest.(check (float 0.0)) "identical time" legacy.Sim.time_s o.Sim.time_s;
-  Alcotest.(check (float 0.0)) "identical energy" legacy.Sim.energy_j
+  let json o = Telemetry.Json.to_string (Sim.outcome_to_json o) in
+  Alcotest.(check string) "run_each [cfg] == oracle" (json oracle) (json each);
+  Alcotest.(check string) "simulate == oracle" (json oracle) (json o);
+  Alcotest.(check (float 0.0)) "identical time" oracle.Sim.time_s o.Sim.time_s;
+  Alcotest.(check (float 0.0)) "identical energy" oracle.Sim.energy_j
     o.Sim.energy_j;
-  Alcotest.(check int) "identical flops" legacy.Sim.flops o.Sim.flops;
-  Alcotest.(check int) "identical dram lines" legacy.Sim.dram_lines
+  Alcotest.(check int) "identical flops" oracle.Sim.flops o.Sim.flops;
+  Alcotest.(check int) "identical dram lines" oracle.Sim.dram_lines
     o.Sim.dram_lines
 
 (* ---------- conservation under interleaving ---------- *)
@@ -84,10 +93,7 @@ let test_interleaving_conserves_tenant_counts () =
   Alcotest.(check int) "three tenants" 3 multi.Sim.n_tenants;
   List.iter2
     (fun (tn : Sim.tenant) (o : Sim.tenant_outcome) ->
-      let solo =
-        Sim.run ~machine:Machine.bdw ~uncore:(`Fixed 2.0) tn.Sim.t_prog
-          ~param_values:tn.Sim.t_params
-      in
+      let solo = Sim.run_one (cfg [ tn ]) in
       Alcotest.(check int)
         (tn.Sim.t_name ^ ": flops conserved")
         solo.Sim.flops o.Sim.o_flops;
@@ -153,10 +159,7 @@ let test_shared_llc_interference () =
      much DRAM traffic as each alone, and the machine-level wall clock
      cannot beat the slower solo run *)
   let n = 4096 in
-  let solo =
-    Sim.run ~machine:Machine.bdw ~uncore:(`Fixed 2.0) stream
-      ~param_values:[ ("n", n) ]
-  in
+  let solo = Sim.run_one (cfg [ t ~name:"solo" ~n stream ]) in
   let multi =
     Sim.simulate ~solo:false
       (cfg [ t ~name:"a" ~n stream; t ~name:"b" ~n stream ])
@@ -341,8 +344,8 @@ let qcheck_tests =
 
 let tests =
   [
-    Alcotest.test_case "run == one-tenant simulate" `Quick
-      test_run_equals_one_tenant_simulate;
+    Alcotest.test_case "run_each [cfg] == oracle" `Quick
+      test_run_each_one_equals_oracle;
     Alcotest.test_case "interleaving conserves counts" `Quick
       test_interleaving_conserves_tenant_counts;
     Alcotest.test_case "interleaving deterministic" `Quick

@@ -12,6 +12,7 @@ let () =
       ("hwsim_multi", Test_hwsim_multi.tests);
       ("cache_model", Test_cache_model.tests);
       ("cm_oracle", Test_cm_oracle.tests);
+      ("sim_oracle", Test_sim_oracle.tests);
       ("roofline", Test_roofline.tests);
       ("perfmodel", Test_perfmodel.tests);
       ("core", Test_core.tests);
