@@ -514,7 +514,7 @@ let abl_objective () =
           let e = s.Search.chosen in
           pf "%-14s %-8.1f %-12.4g %-12.4g %-12.4g\n" label s.Search.cap_ghz
             e.Perfmodel.time_s e.Perfmodel.energy_j e.Perfmodel.edp)
-        [ ("edp", Search.Edp); ("energy", Search.Energy); ("performance", Search.Performance) ])
+        Request.objectives)
     [ "gemm"; "mvt"; "conv2d-convnext" ]
 
 let abl_counting () =
@@ -693,7 +693,10 @@ let ehrhart () =
             for _ = 1 to reps do
               (* clear the memo so every rep pays the real counting cost *)
               Presburger.Bset.clear_count_memo ();
-              fast_count := Presburger.Bset.cardinality ?pool:!the_pool b
+              fast_count :=
+                Presburger.Bset.cardinality
+                  ~ctx:(Engine.Ctx.create ?pool:!the_pool ())
+                  b
             done)
       in
       let scanned =
@@ -775,7 +778,8 @@ let ehrhart_param () =
                   (* every value pays the full counting cost, as a loop
                      of independent analyses would *)
                   Presburger.Bset.clear_count_memo ();
-                  Presburger.Bset.cardinality ?pool:!the_pool
+                  Presburger.Bset.cardinality
+                    ~ctx:(Engine.Ctx.create ?pool:!the_pool ())
                     (Presburger.Bset.fix_params b v))
                 values)
       in
@@ -947,6 +951,35 @@ let quantile_sorted sorted q =
     let i = int_of_float (Float.round (q *. float_of_int (n - 1))) in
     sorted.(max 0 (min (n - 1) i))
 
+(* a per-process path under the temp dir, from a "%d" pattern *)
+let tmp_path pattern =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf pattern (Unix.getpid ()))
+
+(* a counter of a daemon's stats document (0 when absent) *)
+let stats_counter stats name =
+  match
+    Option.bind (Telemetry.Json.member "counters" stats)
+      (Telemetry.Json.member name)
+  with
+  | Some (Telemetry.Json.Int v) -> v
+  | _ -> 0
+
+(* drain a bench daemon and wait for it to unlink its socket, which it
+   does last: don't leak /tmp *)
+let stop_daemon client socket =
+  ignore
+    (Serve.Client.request client ~op:Serve.Protocol.Shutdown
+       ~params:(Telemetry.Json.Obj []) ());
+  Serve.Client.close client;
+  let rec await_exit tries =
+    if Sys.file_exists socket && tries > 0 then begin
+      Unix.sleepf 0.05;
+      await_exit (tries - 1)
+    end
+  in
+  await_exit 100
+
 let daemon () =
   section
     "DAEMON — analysis-as-a-service: warm `polyufc serve` round-trips vs\n\
@@ -960,11 +993,7 @@ let daemon () =
     let n = if !bench_quick then 16 else 32 in
     let cold_reps = if !bench_quick then 2 else 5 in
     let warm_reps = if !bench_quick then 8 else 40 in
-    let cache_dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "polyufc-bench-cache-%d" (Unix.getpid ()))
-    in
+    let cache_dir = tmp_path "polyufc-bench-cache-%d" in
     pf "binary: %s\nrequest: analyze gemm n=%d (shared warm cache on both paths)\n"
       exe n;
     (* --- cold path: one process per request ------------------------- *)
@@ -994,11 +1023,7 @@ let daemon () =
     Array.iter (fun dt -> Telemetry.observe "bench.cold_cli_s" dt) cold;
     Array.sort compare cold;
     (* --- warm path: one daemon, a stream of requests ---------------- *)
-    let socket =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "polyufc-bench-%d.sock" (Unix.getpid ()))
-    in
+    let socket = tmp_path "polyufc-bench-%d.sock" in
     (match
        Serve.Client.spawn_and_connect
          ~spawn_args:[ "--cache-dir"; cache_dir; "--workers"; "2" ]
@@ -1006,16 +1031,13 @@ let daemon () =
      with
     | Error msg -> pf "warm path skipped: %s\n" msg
     | Ok client ->
-      let params =
-        J.Obj
-          [
-            ("workload", J.Str "gemm");
-            ("sizes", J.Obj [ ("n", J.Int n) ]);
-          ]
+      let request =
+        Request.make
+          (Analyze { program = Workload "gemm"; sizes = [ ("n", n) ] })
       in
       let one () =
         let t0 = Unix.gettimeofday () in
-        match Serve.Client.request client ~op:Serve.Protocol.Analyze ~params () with
+        match Serve.Client.submit client request with
         | Ok _ -> Some (Unix.gettimeofday () -. t0)
         | Error e ->
           pf "** warm rep failed: %s **\n" e.Serve.Protocol.message;
@@ -1038,27 +1060,12 @@ let daemon () =
            ~params:(J.Obj []) ()
        with
       | Ok stats ->
-        let counter name =
-          match Option.bind (J.member "counters" stats) (J.member name) with
-          | Some (J.Int v) -> v
-          | _ -> 0
-        in
+        let counter = stats_counter stats in
         pf "daemon counters: %d requests, %d responses, %d rejected\n"
           (counter "serve.requests") (counter "serve.responses")
           (counter "serve.rejected")
       | Error e -> pf "(stats request failed: %s)\n" e.Serve.Protocol.message);
-      ignore
-        (Serve.Client.request client ~op:Serve.Protocol.Shutdown
-           ~params:(J.Obj []) ());
-      Serve.Client.close client;
-      (* the drained daemon unlinks its socket last; don't leak /tmp *)
-      let rec await_exit tries =
-        if Sys.file_exists socket && tries > 0 then begin
-          Unix.sleepf 0.05;
-          await_exit (tries - 1)
-        end
-      in
-      await_exit 100;
+      stop_daemon client socket;
       let ms x = x *. 1e3 in
       let q a p = ms (quantile_sorted a p) in
       pf "\n%-22s %6s %10s %10s %10s\n" "path" "reps" "min (ms)" "p50 (ms)"
@@ -1094,16 +1101,8 @@ let traffic_replay () =
   | Some exe ->
     let module J = Telemetry.Json in
     let total = if !bench_quick then 1000 else 2000 in
-    let cache_dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "polyufc-replay-cache-%d" (Unix.getpid ()))
-    in
-    let socket =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "polyufc-replay-%d.sock" (Unix.getpid ()))
-    in
+    let cache_dir = tmp_path "polyufc-replay-cache-%d" in
+    let socket = tmp_path "polyufc-replay-%d.sock" in
     let spawn_args =
       [ "--cache-dir"; cache_dir; "--workers"; "2" ]
       @
@@ -1127,29 +1126,24 @@ let traffic_replay () =
       let multi_pool =
         [| ("gemm", 24); ("mvt", 96); ("gesummv", 96); ("trisolv", 96) |]
       in
-      let analyze_params () =
-        let name, n =
-          analyze_pool.(Random.State.int rng (Array.length analyze_pool))
-        in
-        J.Obj
-          [ ("workload", J.Str name); ("sizes", J.Obj [ ("n", J.Int n) ]) ]
+      let job (name, n) =
+        { Request.program = Workload name; sizes = [ ("n", n) ] }
       in
-      let multi_params () =
+      let analyze_request () =
+        let pick = Random.State.int rng (Array.length analyze_pool) in
+        Request.make (Analyze (job analyze_pool.(pick)))
+      in
+      let multi_request () =
         let k = 2 + Random.State.int rng 2 in
         let tenants =
           List.init k (fun _ ->
               let name, n =
                 multi_pool.(Random.State.int rng (Array.length multi_pool))
               in
-              J.Obj
-                [
-                  ("workload", J.Str name);
-                  ("sizes", J.Obj [ ("n", J.Int n) ]);
-                  ( "weight",
-                    J.Float (1.0 +. float_of_int (Random.State.int rng 3)) );
-                ])
+              let weight = 1.0 +. float_of_int (Random.State.int rng 3) in
+              { Request.name; job = job (name, n); weight; cores = 0 })
         in
-        J.Obj [ ("tenants", J.Arr tenants); ("solo", J.Bool false) ]
+        Request.make (Analyze_multi { tenants; solo = false })
       in
       let lat_all = ref [] and lat_multi = ref [] in
       let sent = ref 0
@@ -1158,14 +1152,19 @@ let traffic_replay () =
       and scatter = ref [] in
       let issue () =
         let dice = Random.State.float rng 1.0 in
-        let version, op, params =
-          if dice < 0.05 then (1, Serve.Protocol.Ping, J.Obj [])
-          else if dice < 0.20 then
-            (2, Serve.Protocol.Analyze_multi, multi_params ())
-          else (1, Serve.Protocol.Analyze, analyze_params ())
+        let request =
+          if dice < 0.05 then None
+          else if dice < 0.20 then Some (multi_request ())
+          else Some (analyze_request ())
         in
         let t0 = Unix.gettimeofday () in
-        let result = Serve.Client.request client ~version ~op ~params () in
+        let result =
+          match request with
+          | None ->
+            Serve.Client.request client ~op:Serve.Protocol.Ping
+              ~params:(J.Obj []) ()
+          | Some r -> Serve.Client.submit client r
+        in
         let dt = Unix.gettimeofday () -. t0 in
         incr sent;
         Telemetry.observe "bench.replay_request_s" dt;
@@ -1174,9 +1173,11 @@ let traffic_replay () =
         | Error e ->
           incr failed;
           pf "** request %d (%s) failed: %s **\n" !sent
-            (Serve.Protocol.op_name op) e.Serve.Protocol.message
-        | Ok doc ->
-          if op = Serve.Protocol.Analyze_multi then begin
+            (match request with Some r -> Request.op_name r.op | None -> "ping")
+            e.Serve.Protocol.message
+        | Ok doc -> (
+          match request with
+          | Some { op = Analyze_multi _; _ } ->
             lat_multi := dt :: !lat_multi;
             (match
                Option.bind (J.member "sim" doc) (fun s ->
@@ -1185,15 +1186,15 @@ let traffic_replay () =
              with
             | Some e -> energy_j := !energy_j +. e
             | None -> ());
-            match Option.map Report.scatter_of_json (J.member "scatter" doc) with
+            (match
+               Option.map Report.scatter_of_json (J.member "scatter" doc)
+             with
             | Some (Ok rows) -> scatter := List.rev_append rows !scatter
-            | _ -> ()
-          end
+            | _ -> ())
+          | _ -> ())
       in
       (* one untimed warm-up pays the daemon's first-touch costs once *)
-      ignore
-        (Serve.Client.request client ~op:Serve.Protocol.Analyze
-           ~params:(analyze_params ()) ());
+      ignore (Serve.Client.submit client (analyze_request ()));
       for _ = 1 to total do
         issue ()
       done;
@@ -1244,11 +1245,7 @@ let traffic_replay () =
            ~params:(J.Obj []) ()
        with
       | Ok stats ->
-        let counter name =
-          match Option.bind (J.member "counters" stats) (J.member name) with
-          | Some (J.Int v) -> v
-          | _ -> 0
-        in
+        let counter = stats_counter stats in
         pf
           "daemon counters: serve.requests=%d serve.responses=%d \
            hwsim.tenants_interleaved=%d hwsim.arbitrations=%d\n"
@@ -1256,17 +1253,7 @@ let traffic_replay () =
           (counter "hwsim.tenants_interleaved")
           (counter "hwsim.arbitrations")
       | Error e -> pf "(stats request failed: %s)\n" e.Serve.Protocol.message);
-      ignore
-        (Serve.Client.request client ~op:Serve.Protocol.Shutdown
-           ~params:(J.Obj []) ());
-      Serve.Client.close client;
-      let rec await_exit tries =
-        if Sys.file_exists socket && tries > 0 then begin
-          Unix.sleepf 0.05;
-          await_exit (tries - 1)
-        end
-      in
-      await_exit 100;
+      stop_daemon client socket;
       (* with a watermark set, the store left behind by the daemon (its
          drain runs a final GC) must have converged below it *)
       match !bench_cache_max_bytes with

@@ -11,6 +11,10 @@
      cache        — inspect / clear the persistent result cache
      workloads    — list the bundled benchmark suite
 
+   [analyze], [search], [run] and [analyze-multi], inline and as
+   [client] twins, and [batch] only build a Request.t; Pipeline.execute
+   runs it, in this process or in the daemon.
+
    [analyze], [search], [run] and [batch] share one resource-flag set
    (Resource_flags): --jobs N (0 = one per core), the content-addressed
    result cache under _polyufc_cache/ (or $POLYUFC_CACHE_DIR, opt out
@@ -21,20 +25,16 @@
 open Cmdliner
 open Polyufc_core
 
-let machine_of_string = function
-  | "bdw" | "BDW" -> Ok Hwsim.Machine.bdw
-  | "rpl" | "RPL" -> Ok Hwsim.Machine.rpl
-  | s -> Error (`Msg (Printf.sprintf "unknown machine %S (use bdw or rpl)" s))
-
 let machine_conv =
   Arg.conv
-    ( machine_of_string,
+    ( (fun s ->
+        Result.map_error (fun m -> `Msg m) (Request.machine_of_string s)),
       fun ppf m -> Format.fprintf ppf "%s" m.Hwsim.Machine.name )
 
 let machine_arg =
   Arg.(
     value
-    & opt machine_conv Hwsim.Machine.bdw
+    & opt machine_conv Request.default_machine
     & info [ "m"; "machine" ] ~docv:"MACHINE"
         ~doc:"Target machine: $(b,bdw) or $(b,rpl).")
 
@@ -55,24 +55,20 @@ let sizes_arg =
 let tile_size_arg =
   Arg.(
     value
-    & opt int 32
+    & opt int Request.default_tile_size
     & info [ "tile-size" ] ~docv:"T" ~doc:"Pluto tile size (default 32).")
 
 let epsilon_arg =
   Arg.(
     value
-    & opt float 1e-3
+    & opt float Request.default_epsilon
     & info [ "epsilon" ] ~docv:"EPS"
         ~doc:"POLYUFC-SEARCH threshold (default 1e-3, Sec. VII-E).")
 
 let objective_arg =
-  let obj_conv =
-    Arg.enum
-      [ ("edp", Search.Edp); ("energy", Search.Energy); ("performance", Search.Performance) ]
-  in
   Arg.(
     value
-    & opt obj_conv Search.Edp
+    & opt (enum Request.objectives) Request.default_objective
     & info [ "objective" ] ~docv:"OBJ"
         ~doc:"Optimization goal: $(b,edp), $(b,energy) or $(b,performance).")
 
@@ -119,6 +115,16 @@ let telemetry_term =
   let combine trace stats log = (trace, stats, log) in
   Term.(const combine $ trace_arg $ stats_arg $ log_arg)
 
+(* arm the --log event sink *)
+let open_log = function
+  | None -> ()
+  | Some path -> (
+    match Telemetry.Event.set_sink_path path with
+    | Ok () -> ()
+    | Error msg ->
+      Format.eprintf "error: cannot open --log sink: %s@." msg;
+      exit 1)
+
 (* Enable the registry when any telemetry output was requested, arm the
    event sink, run [f], then emit the requested views. *)
 let with_telemetry (trace, stats, log) f =
@@ -127,14 +133,7 @@ let with_telemetry (trace, stats, log) f =
     Telemetry.reset ();
     Telemetry.enable ()
   end;
-  (match log with
-  | None -> ()
-  | Some path -> (
-    match Telemetry.Event.set_sink_path path with
-    | Ok () -> ()
-    | Error msg ->
-      Format.eprintf "error: cannot open --log sink: %s@." msg;
-      exit 1));
+  open_log log;
   Telemetry.Event.info "cli.start";
   let r = f () in
   Telemetry.Event.info "cli.done";
@@ -182,15 +181,6 @@ let guarded ?(json = false) f =
     Format.eprintf "polyufc: %a@." Engine.Guard.pp d;
     exit d.Engine.Guard.code
 
-let load ~workload ~file ~sizes =
-  Engine.Guard.phase "parse" @@ fun () ->
-  match workload with
-  | Some name ->
-    let w = Workloads.find name in
-    let sizes = if sizes = [] then Workloads.param_values w else sizes in
-    (Workloads.program w, sizes)
-  | None -> (Polylang.parse_file file, sizes)
-
 let file_or_default =
   Arg.(
     value
@@ -201,57 +191,53 @@ let load_term =
   let combine workload file sizes = (workload, file, sizes) in
   Term.(const combine $ workload_arg $ file_or_default $ sizes_arg)
 
+(* A FILE travels as its source text: the daemon cannot assume it shares
+   a filesystem view with the client, and the inline path reads it the
+   same way.  A client has no use for the /dev/null default. *)
+let job_of ~client (workload, file, sizes) =
+  let program =
+    match workload with
+    | Some name -> Request.Workload name
+    | None ->
+      if client && file = "/dev/null" then
+        Resource_flags.usage_error
+          "give --workload NAME or a Polylang source FILE";
+      Pipeline.source_file file
+  in
+  { Request.program; sizes }
+
+let load l = fst (Pipeline.load (job_of ~client:false l))
+
 let parse_cmd =
-  let run (workload, file, sizes) =
-    guarded @@ fun () ->
-    let prog, _ = load ~workload ~file ~sizes in
-    Format.printf "%s@." (Polylang.to_string prog)
+  let run l =
+    guarded @@ fun () -> Format.printf "%s@." (Polylang.to_string (load l))
   in
   Cmd.v (Cmd.info "parse" ~doc:"Parse a program and print it back")
     Term.(const run $ load_term)
 
 let tile_cmd =
-  let run (workload, file, sizes) tile_size =
+  let run l tile_size =
     guarded @@ fun () ->
-    let prog, _ = load ~workload ~file ~sizes in
-    let r = Poly_ir.Tiling.tile ~tile_size prog in
+    let r = Poly_ir.Tiling.tile ~tile_size (load l) in
     Format.printf "%a@.%s@." Poly_ir.Tiling.pp_report r
       (Polylang.to_string r.Poly_ir.Tiling.tiled)
   in
   Cmd.v (Cmd.info "tile" ~doc:"Pluto-style tiling and parallelization")
     Term.(const run $ load_term $ tile_size_arg)
 
-let analyze_cmd =
-  let run (workload, file, sizes) machine tile_size telemetry json res =
-    guarded ~json @@ fun () ->
-    with_telemetry telemetry @@ fun () ->
-    Resource_flags.with_ctx res @@ fun ~ctx ->
-    let prog, sizes = load ~workload ~file ~sizes in
-    let tiled = Poly_ir.Tiling.tile_program ~tile_size prog in
-    let cm =
-      Analysis_cache.analyze_gov ~ctx ~mode:Cache_model.Model.Set_associative
-        ~apply_thread_heuristic:false ~machine tiled ~param_values:sizes
-    in
-    if json then Report.print_json (Report.json_of_cm cm)
-    else Format.printf "%a@." Cache_model.Model.pp_result cm
-  in
-  Cmd.v (Cmd.info "analyze" ~doc:"PolyUFC-CM cache analysis and OI")
-    Term.(
-      const run $ load_term $ machine_arg $ tile_size_arg $ telemetry_term
-      $ json_arg $ Resource_flags.term)
-
 let characterize_cmd =
-  let run (workload, file, sizes) machine tile_size telemetry =
+  let run l machine tile_size telemetry =
     guarded @@ fun () ->
     with_telemetry telemetry @@ fun () ->
-    let prog, sizes = load ~workload ~file ~sizes in
-    let tiled = Poly_ir.Tiling.tile_program ~tile_size prog in
-    let k = Roofline.for_machine ~ctx:Engine.Ctx.none machine in
-    let cm =
-      Cache_model.Model.analyze ~machine ~apply_thread_heuristic:false tiled
-        ~param_values:sizes
+    let oi =
+      match
+        Pipeline.execute ~ctx:Engine.Ctx.none
+          (Request.make ~machine ~tile_size (Analyze (job_of ~client:false l)))
+      with
+      | Pipeline.Analysis cm -> cm.Cache_model.Model.oi
+      | _ -> assert false (* an Analyze request analyzes *)
     in
-    let oi = cm.Cache_model.Model.oi in
+    let k = Roofline.for_machine ~ctx:Engine.Ctx.none machine in
     Format.printf "OI = %.3f FpB, B^t_DRAM = %.3f FpB -> %a@." oi
       k.Roofline.b_dram_t Roofline.pp_boundedness
       (Roofline.characterize k ~oi)
@@ -259,53 +245,6 @@ let characterize_cmd =
   Cmd.v
     (Cmd.info "characterize" ~doc:"CB/BB roofline characterization (Sec. IV-D)")
     Term.(const run $ load_term $ machine_arg $ tile_size_arg $ telemetry_term)
-
-let search_cmd =
-  let run (workload, file, sizes) machine tile_size epsilon objective telemetry
-      json res =
-    guarded ~json @@ fun () ->
-    with_telemetry telemetry @@ fun () ->
-    Resource_flags.with_ctx res @@ fun ~ctx ->
-    let prog, sizes = load ~workload ~file ~sizes in
-    let k = Roofline.for_machine ~ctx machine in
-    let c =
-      Flow.compile ~ctx ~objective ~epsilon ~tile_size ~machine ~rooflines:k
-        prog ~param_values:sizes
-    in
-    if json then Report.print_json (Report.json_of_compiled c)
-    else Format.printf "%a@." Flow.pp_compiled c
-  in
-  Cmd.v
-    (Cmd.info "search" ~doc:"Full compilation flow with POLYUFC-SEARCH caps")
-    Term.(
-      const run $ load_term $ machine_arg $ tile_size_arg $ epsilon_arg
-      $ objective_arg $ telemetry_term $ json_arg $ Resource_flags.term)
-
-let run_cmd =
-  let run (workload, file, sizes) machine tile_size epsilon objective telemetry
-      json res =
-    guarded ~json @@ fun () ->
-    with_telemetry telemetry @@ fun () ->
-    Resource_flags.with_ctx res @@ fun ~ctx ->
-    let prog, sizes = load ~workload ~file ~sizes in
-    let k = Roofline.for_machine ~ctx machine in
-    let c =
-      Flow.compile ~ctx ~objective ~epsilon ~tile_size ~machine ~rooflines:k
-        prog ~param_values:sizes
-    in
-    let e = Flow.evaluate ~ctx ~machine c ~param_values:sizes in
-    if json then Report.print_json (Report.json_of_run c e)
-    else begin
-      Format.printf "%a@." Flow.pp_compiled c;
-      Format.printf "%a@." Flow.pp_evaluation e
-    end
-  in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:"Compile with caps and simulate vs the UFS-driver baseline")
-    Term.(
-      const run $ load_term $ machine_arg $ tile_size_arg $ epsilon_arg
-      $ objective_arg $ telemetry_term $ json_arg $ Resource_flags.term)
 
 (* ---- analyze-multi: fleet analysis over co-scheduled tenants -------- *)
 
@@ -356,17 +295,18 @@ let parse_tenant_spec s =
       mods;
     (target, List.rev !sizes, !weight, !cores)
 
-(* resolve a tenant target to (name, program, sizes): a bundled workload
-   by name, else a Polylang source file on disk *)
-let load_tenant (target, sizes, weight, cores) =
-  Engine.Guard.phase "parse" @@ fun () ->
-  match Workloads.find_opt target with
-  | Some w ->
-    let sizes = if sizes = [] then Workloads.param_values w else sizes in
-    (target, Workloads.program w, sizes, weight, cores)
-  | None ->
-    (Filename.remove_extension (Filename.basename target),
-     Polylang.parse_file target, sizes, weight, cores)
+(* a tenant target is a bundled workload by name, else a Polylang source
+   file, named after its basename *)
+let tenant_of_spec spec =
+  let target, sizes, weight, cores = parse_tenant_spec spec in
+  let name, program =
+    match Workloads.find_opt target with
+    | Some _ -> (target, Request.Workload target)
+    | None ->
+      ( Filename.remove_extension (Filename.basename target),
+        Pipeline.source_file target )
+  in
+  { Request.name; job = { program; sizes }; weight; cores }
 
 let tenants_arg =
   Arg.(
@@ -398,44 +338,97 @@ let write_scatter_csv path rows =
   Out_channel.with_open_bin path @@ fun oc ->
   Out_channel.output_string oc (Report.csv_of_scatter rows)
 
-let analyze_multi_cmd =
-  let run specs machine tile_size epsilon objective no_solo scatter_out
-      telemetry json res =
+(* the scatter rows a daemon document carries, as CSV at [path] *)
+let write_doc_scatter ~what ~missing path doc =
+  match Telemetry.Json.member "scatter" doc with
+  | Some sc -> (
+    match Report.scatter_of_json sc with
+    | Ok rows -> write_scatter_csv path rows
+    | Error msg -> failwith (Printf.sprintf "bad scatter in %s: %s" what msg))
+  | None -> failwith missing
+
+(* ---- analyze / search / run / analyze-multi: one request each ------- *)
+
+(* The request terms build a [Request.t] once the frontend is ready to
+   read FILE arguments: inside the inline command's resource context, or
+   before the client connects.  [analyze] takes no search knobs. *)
+let search_knobs_term =
+  Term.(const (fun epsilon objective -> (epsilon, objective))
+        $ epsilon_arg $ objective_arg)
+
+let single_request op knobs =
+  let make load machine tile_size (epsilon, objective) ~client =
+    { Request.op = op (job_of ~client load); machine; tile_size; epsilon;
+      objective }
+  in
+  Term.(const make $ load_term $ machine_arg $ tile_size_arg $ knobs)
+
+let analyze_request =
+  single_request
+    (fun job -> Request.Analyze job)
+    (Term.const (Request.default_epsilon, Request.default_objective))
+
+let search_request =
+  single_request (fun job -> Request.Search job) search_knobs_term
+
+let run_request = single_request (fun job -> Request.Run job) search_knobs_term
+
+let analyze_multi_request =
+  let make specs machine tile_size (epsilon, objective) no_solo ~client:_ =
+    let tenants = List.map tenant_of_spec specs in
+    { Request.op = Analyze_multi { tenants; solo = not no_solo }; machine;
+      tile_size; epsilon; objective }
+  in
+  Term.(
+    const make $ tenants_arg $ machine_arg $ tile_size_arg $ search_knobs_term
+    $ no_solo_arg)
+
+let inline_cmd ?(scatter = Term.const None) info request =
+  let run request scatter_out telemetry json res =
     guarded ~json @@ fun () ->
     with_telemetry telemetry @@ fun () ->
     Resource_flags.with_ctx res @@ fun ~ctx ->
-    let tenants = List.map (fun s -> load_tenant (parse_tenant_spec s)) specs in
-    let specs =
-      List.map
-        (fun (name, prog, sizes, weight, cores) ->
-          Fleet.spec ~sizes ~weight ~cores ~name prog)
-        tenants
-    in
-    let k = Roofline.for_machine ~ctx machine in
-    let r =
-      Fleet.analyze ~ctx ~objective ~epsilon ~tile_size ~solo:(not no_solo)
-        ~machine ~rooflines:k specs
-    in
-    Option.iter
-      (fun path -> write_scatter_csv path (Fleet.scatter_of_result r))
-      scatter_out;
-    if json then Report.print_json (Fleet.json_of_result r)
-    else Format.printf "%a@." Fleet.pp_result r
+    let outcome = Pipeline.execute ~ctx (request ~client:false) in
+    (match (outcome, scatter_out) with
+    | Pipeline.Fleet r, Some path ->
+      write_scatter_csv path (Fleet.scatter_of_result r)
+    | _ -> ());
+    if json then Report.print_json (Pipeline.to_json outcome)
+    else Format.printf "%a@." Pipeline.pp outcome
   in
-  Cmd.v
+  Cmd.v info
+    Term.(
+      const run $ request $ scatter $ telemetry_term $ json_arg
+      $ Resource_flags.term)
+
+let analyze_cmd =
+  inline_cmd
+    (Cmd.info "analyze" ~doc:"PolyUFC-CM cache analysis and OI")
+    analyze_request
+
+let search_cmd =
+  inline_cmd
+    (Cmd.info "search" ~doc:"Full compilation flow with POLYUFC-SEARCH caps")
+    search_request
+
+let run_cmd =
+  inline_cmd
+    (Cmd.info "run"
+       ~doc:"Compile with caps and simulate vs the UFS-driver baseline")
+    run_request
+
+let analyze_multi_cmd =
+  inline_cmd ~scatter:scatter_out_arg
     (Cmd.info "analyze-multi"
        ~doc:
          "Fleet analysis: compile each tenant, arbitrate one shared \
           uncore cap from their roofline demands, co-simulate the set")
-    Term.(
-      const run $ tenants_arg $ machine_arg $ tile_size_arg $ epsilon_arg
-      $ objective_arg $ no_solo_arg $ scatter_out_arg $ telemetry_term
-      $ json_arg $ Resource_flags.term)
+    analyze_multi_request
 
 let scop_cmd =
-  let run (workload, file, sizes) tile tile_size =
+  let run l tile tile_size =
     guarded @@ fun () ->
-    let prog, _ = load ~workload ~file ~sizes in
+    let prog = load l in
     let prog =
       if tile then Poly_ir.Tiling.tile_program ~tile_size prog else prog
     in
@@ -504,20 +497,22 @@ let batch_cmd =
     let entries =
       Engine.Guard.phase "parse" (fun () -> parse_manifest manifest)
     in
-    let k = Roofline.for_machine ~ctx machine in
     let compile_one (line, name, sizes) =
       match Workloads.find_opt name with
       | None ->
         failwith
           (Printf.sprintf "%s:%d: unknown workload %S (try `polyufc \
                            workloads')" manifest line name)
-      | Some w ->
+      | Some w -> (
         let sizes = if sizes = [] then Workloads.param_values w else sizes in
-        let c =
-          Flow.compile ~ctx ~objective ~epsilon ~tile_size ~machine
-            ~rooflines:k (Workloads.program w) ~param_values:sizes
-        in
-        (name, sizes, c)
+        let job = { Request.program = Workload name; sizes } in
+        match
+          Pipeline.execute ~ctx
+            (Request.make ~machine ~tile_size ~epsilon ~objective
+               (Search job))
+        with
+        | Pipeline.Compiled c -> (name, sizes, c)
+        | _ -> assert false (* a Search request compiles *))
     in
     (* one pool job per kernel; Pool.map keeps manifest order *)
     let results =
@@ -634,20 +629,30 @@ let pp_stats_doc ppf doc =
       ss);
   Format.fprintf ppf "@]"
 
+let format_arg ?(doc =
+      "Output format: $(b,text), $(b,json), or $(b,openmetrics) \
+       (Prometheus text exposition, terminated by $(b,# EOF)).")
+    default =
+  Arg.(
+    value
+    & opt
+        (enum
+           [ ("text", `Text); ("json", `Json); ("openmetrics", `Openmetrics) ])
+        default
+    & info [ "format" ] ~docv:"FMT" ~doc)
+
+(* one renderer for every stats document: the live registry, a
+   --stats=FILE document, or a daemon's stats response *)
+let print_stats_doc format doc =
+  match format with
+  | `Json -> Format.printf "%s@." (Telemetry.Json.to_string doc)
+  | `Text -> Format.printf "%a@." pp_stats_doc doc
+  | `Openmetrics -> (
+    match Telemetry.openmetrics_of_stats doc with
+    | Ok text -> print_string text
+    | Error msg -> failwith ("cannot render OpenMetrics: " ^ msg))
+
 let stats_top_cmd =
-  let format_arg =
-    let fmt_conv =
-      Arg.enum
-        [ ("text", `Text); ("json", `Json); ("openmetrics", `Openmetrics) ]
-    in
-    Arg.(
-      value
-      & opt fmt_conv `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output format: $(b,text), $(b,json), or $(b,openmetrics) \
-             (Prometheus text exposition, terminated by $(b,# EOF)).")
-  in
   let file_arg =
     Arg.(
       value
@@ -674,20 +679,14 @@ let stats_top_cmd =
           failwith (Printf.sprintf "%s: not a stats JSON document (%s)"
                       (if path = "-" then "<stdin>" else path) msg))
     in
-    match format with
-    | `Json -> Format.printf "%s@." (Telemetry.Json.to_string doc)
-    | `Text -> Format.printf "%a@." pp_stats_doc doc
-    | `Openmetrics -> (
-      match Telemetry.openmetrics_of_stats doc with
-      | Ok text -> print_string text
-      | Error msg -> failwith ("cannot render OpenMetrics: " ^ msg))
+    print_stats_doc format doc
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Render a telemetry stats document (text, JSON or OpenMetrics \
           exposition)")
-    Term.(const run $ format_arg $ file_arg)
+    Term.(const run $ format_arg `Text $ file_arg)
 
 (* ---- serve / client: analysis as a service ---------------------------- *)
 
@@ -776,24 +775,12 @@ let serve_cmd =
       Resource_flags.usage_error
         "invalid --max-fuel %d (want a positive work-unit count)" n
     | _ -> ());
-    (match fault_plan with
-    | None -> ()
-    | Some plan -> (
-      match Engine.Faultsim.parse_plan plan with
-      | Ok p -> Engine.Faultsim.install p
-      | Error msg -> Resource_flags.usage_error "invalid --fault-plan: %s" msg));
+    Resource_flags.install_fault_plan fault_plan;
     (* the daemon always runs with live telemetry: stats requests serve
        the registry, and the event log is its operational journal *)
     Telemetry.reset ();
     Telemetry.enable ();
-    (match log with
-    | None -> ()
-    | Some path -> (
-      match Telemetry.Event.set_sink_path path with
-      | Ok () -> ()
-      | Error msg ->
-        Format.eprintf "error: cannot open --log sink: %s@." msg;
-        exit 1));
+    open_log log;
     guarded @@ fun () ->
     let jobs = if jobs = 0 then Engine.Pool.default_jobs () else jobs in
     Telemetry.set_meta "jobs" (Telemetry.Json.Int jobs);
@@ -880,14 +867,16 @@ let spawn_arg =
            outlives this command; stop it with $(b,polyufc client \
            shutdown).")
 
-let client_connect ~socket ~spawn =
+(* run [f] on a connection to the daemon, closed afterwards *)
+let with_client ~socket ~spawn f =
   let r =
     if spawn then
       Serve.Client.spawn_and_connect ~exe:Sys.executable_name ~socket ()
     else Serve.Client.connect socket
   in
   match r with
-  | Ok c -> c
+  | Ok c ->
+    Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
   | Error msg ->
     Format.eprintf "polyufc: %s@." msg;
     exit (Serve.Protocol.exit_code_of_kind Serve.Protocol.Transport)
@@ -913,46 +902,6 @@ let qos_of_flags ((deadline_s, fuel, degrade) as q) =
   Resource_flags.validate_qos q;
   { Serve.Protocol.deadline_s; fuel; degrade }
 
-(* The daemon cannot assume it shares a filesystem view with the client,
-   so a FILE argument is shipped as inline source text. *)
-let client_params ?(extra = []) (workload, file, sizes) machine tile_size =
-  let program =
-    match workload with
-    | Some name -> [ ("workload", Telemetry.Json.Str name) ]
-    | None ->
-      if file = "/dev/null" then
-        Resource_flags.usage_error
-          "give --workload NAME or a Polylang source FILE"
-      else
-        [
-          ( "source",
-            Telemetry.Json.Str
-              (In_channel.with_open_bin file In_channel.input_all) );
-        ]
-  in
-  let sizes =
-    match sizes with
-    | [] -> []
-    | kvs ->
-      [
-        ( "sizes",
-          Telemetry.Json.Obj
-            (List.map (fun (p, v) -> (p, Telemetry.Json.Int v)) kvs) );
-      ]
-  in
-  Telemetry.Json.Obj
-    (program @ sizes
-    @ [
-        ("machine", Telemetry.Json.Str machine.Hwsim.Machine.name);
-        ("tile_size", Telemetry.Json.Int tile_size);
-      ]
-    @ extra)
-
-let client_request ~socket ~spawn ~json ~qos ~op ~params =
-  let c = client_connect ~socket ~spawn in
-  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-  client_finish ~json (Serve.Client.request c ~qos ~op ~params ())
-
 let client_json_arg =
   Arg.(
     value
@@ -964,130 +913,30 @@ let client_json_arg =
            flag additionally mirrors errors as a top-level \
            $(i,{\"error\": ...}) object on stdout.")
 
-let client_analyze_cmd =
-  let run load machine tile_size qos json socket spawn =
+(* the remote twin of [inline_cmd]: the same request, shipped *)
+let client_request_cmd ?(scatter = Term.const None) info request =
+  let run request scatter_out qos json socket spawn =
     guarded ~json @@ fun () ->
-    let params = client_params load machine tile_size in
-    client_request ~socket ~spawn ~json ~qos:(qos_of_flags qos)
-      ~op:Serve.Protocol.Analyze ~params
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:"PolyUFC-CM cache analysis via the daemon (same JSON as \
-             $(b,polyufc analyze --json))")
-    Term.(
-      const run $ load_term $ machine_arg $ tile_size_arg
-      $ Resource_flags.qos_term $ client_json_arg $ socket_arg $ spawn_arg)
-
-let search_like_client name ~doc ~op =
-  let run load machine tile_size epsilon objective qos json socket spawn =
-    guarded ~json @@ fun () ->
-    let extra =
-      [
-        ("epsilon", Telemetry.Json.Float epsilon);
-        ( "objective",
-          Telemetry.Json.Str
-            (match objective with
-            | Search.Edp -> "edp"
-            | Search.Energy -> "energy"
-            | Search.Performance -> "performance") );
-      ]
-    in
-    let params = client_params ~extra load machine tile_size in
-    client_request ~socket ~spawn ~json ~qos:(qos_of_flags qos) ~op ~params
-  in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const run $ load_term $ machine_arg $ tile_size_arg $ epsilon_arg
-      $ objective_arg $ Resource_flags.qos_term $ client_json_arg
-      $ socket_arg $ spawn_arg)
-
-(* ships each tenant as the same object shape `client analyze` ships,
-   plus name/weight/cores; FILE targets go as inline source text *)
-let client_tenant_json spec =
-  let target, sizes, weight, cores = parse_tenant_spec spec in
-  let program, name =
-    match Workloads.find_opt target with
-    | Some _ -> ([ ("workload", Telemetry.Json.Str target) ], target)
-    | None ->
-      ( [
-          ( "source",
-            Telemetry.Json.Str
-              (In_channel.with_open_bin target In_channel.input_all) );
-        ],
-        Filename.remove_extension (Filename.basename target) )
-  in
-  let sizes =
-    match sizes with
-    | [] -> []
-    | kvs ->
-      [
-        ( "sizes",
-          Telemetry.Json.Obj
-            (List.map (fun (p, v) -> (p, Telemetry.Json.Int v)) kvs) );
-      ]
-  in
-  Telemetry.Json.Obj
-    (program @ sizes
-    @ [
-        ("name", Telemetry.Json.Str name);
-        ("weight", Telemetry.Json.Float weight);
-        ("cores", Telemetry.Json.Int cores);
-      ])
-
-let client_analyze_multi_cmd =
-  let run specs machine tile_size epsilon objective no_solo scatter_out qos
-      json socket spawn =
-    guarded ~json @@ fun () ->
-    let params =
-      Telemetry.Json.Obj
-        [
-          ( "tenants",
-            Telemetry.Json.Arr (List.map client_tenant_json specs) );
-          ("machine", Telemetry.Json.Str machine.Hwsim.Machine.name);
-          ("tile_size", Telemetry.Json.Int tile_size);
-          ("epsilon", Telemetry.Json.Float epsilon);
-          ( "objective",
-            Telemetry.Json.Str
-              (match objective with
-              | Search.Edp -> "edp"
-              | Search.Energy -> "energy"
-              | Search.Performance -> "performance") );
-          ("solo", Telemetry.Json.Bool (not no_solo));
-        ]
-    in
-    let c = client_connect ~socket ~spawn in
-    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-    let result =
-      Serve.Client.request c ~version:2 ~qos:(qos_of_flags qos)
-        ~op:Serve.Protocol.Analyze_multi ~params ()
-    in
+    let request = request ~client:true in
+    let qos = qos_of_flags qos in
+    with_client ~socket ~spawn @@ fun c ->
+    let result = Serve.Client.submit c ~qos request in
     (match (result, scatter_out) with
-    | Ok doc, Some path -> (
-      match Telemetry.Json.member "scatter" doc with
-      | Some sc -> (
-        match Report.scatter_of_json sc with
-        | Ok rows -> write_scatter_csv path rows
-        | Error msg -> failwith ("bad scatter in response: " ^ msg))
-      | None -> failwith "response has no scatter rows")
+    | Ok doc, Some path ->
+      write_doc_scatter ~what:"response" ~missing:"response has no scatter rows"
+        path doc
     | _ -> ());
     client_finish ~json result
   in
-  Cmd.v
-    (Cmd.info "analyze-multi"
-       ~doc:
-         "Fleet analysis via the daemon (protocol v2; same JSON as \
-          $(b,polyufc analyze-multi --json))")
+  Cmd.v info
     Term.(
-      const run $ tenants_arg $ machine_arg $ tile_size_arg $ epsilon_arg
-      $ objective_arg $ no_solo_arg $ scatter_out_arg
-      $ Resource_flags.qos_term $ client_json_arg $ socket_arg $ spawn_arg)
+      const run $ request $ scatter $ Resource_flags.qos_term
+      $ client_json_arg $ socket_arg $ spawn_arg)
 
 let client_ping_cmd =
   let run socket spawn =
     guarded @@ fun () ->
-    let c = client_connect ~socket ~spawn in
-    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+    with_client ~socket ~spawn @@ fun c ->
     let t0 = Unix.gettimeofday () in
     match
       Serve.Client.request c ~version:2 ~op:Serve.Protocol.Ping
@@ -1124,23 +973,16 @@ let client_ping_cmd =
 
 let client_stats_cmd =
   let format_arg =
-    let fmt_conv =
-      Arg.enum
-        [ ("text", `Text); ("json", `Json); ("openmetrics", `Openmetrics) ]
-    in
-    Arg.(
-      value
-      & opt fmt_conv `Json
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Rendering of the daemon's stats document: $(b,json) (the \
-             default), $(b,text), or $(b,openmetrics) (Prometheus text \
-             exposition).")
+    format_arg
+      ~doc:
+        "Rendering of the daemon's stats document: $(b,json) (the \
+         default), $(b,text), or $(b,openmetrics) (Prometheus text \
+         exposition)."
+      `Json
   in
   let run format scatter_out socket spawn =
     guarded @@ fun () ->
-    let c = client_connect ~socket ~spawn in
-    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+    with_client ~socket ~spawn @@ fun c ->
     (* v2 so the daemon appends its rolling roofline scatter; a v1
        daemon ignores the version field and omits the scatter *)
     match
@@ -1150,23 +992,13 @@ let client_stats_cmd =
     | Ok doc -> (
       Option.iter
         (fun path ->
-          match Telemetry.Json.member "scatter" doc with
-          | Some sc -> (
-            match Report.scatter_of_json sc with
-            | Ok rows -> write_scatter_csv path rows
-            | Error msg -> failwith ("bad scatter in stats: " ^ msg))
-          | None ->
-            failwith
+          write_doc_scatter ~what:"stats"
+            ~missing:
               "daemon reported no scatter (pre-v2 daemon, or no \
-               analyze_multi requests yet)")
+               analyze_multi requests yet)"
+            path doc)
         scatter_out;
-      match format with
-      | `Json -> Format.printf "%s@." (Telemetry.Json.to_string doc)
-      | `Text -> Format.printf "%a@." pp_stats_doc doc
-      | `Openmetrics -> (
-        match Telemetry.openmetrics_of_stats doc with
-        | Ok text -> print_string text
-        | Error msg -> failwith ("cannot render OpenMetrics: " ^ msg)))
+      print_stats_doc format doc)
     | Error _ as e -> client_finish ~json:false e
   in
   Cmd.v
@@ -1179,8 +1011,7 @@ let client_stats_cmd =
 let client_shutdown_cmd =
   let run socket =
     guarded @@ fun () ->
-    let c = client_connect ~socket ~spawn:false in
-    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+    with_client ~socket ~spawn:false @@ fun c ->
     match
       Serve.Client.request c ~op:Serve.Protocol.Shutdown
         ~params:(Telemetry.Json.Obj []) ()
@@ -1200,18 +1031,30 @@ let client_cmd =
          "Talk to a $(b,polyufc serve) daemon: analyze/search/run with \
           per-request QoS, plus ping, stats and shutdown")
     [
-      client_analyze_cmd;
-      client_analyze_multi_cmd;
-      search_like_client "search"
-        ~doc:
-          "Full compilation flow via the daemon (same JSON as $(b,polyufc \
-           search --json))"
-        ~op:Serve.Protocol.Search;
-      search_like_client "run"
-        ~doc:
-          "Compile and simulate via the daemon (same JSON as $(b,polyufc \
-           run --json))"
-        ~op:Serve.Protocol.Run;
+      client_request_cmd
+        (Cmd.info "analyze"
+           ~doc:
+             "PolyUFC-CM cache analysis via the daemon (same JSON as \
+              $(b,polyufc analyze --json))")
+        analyze_request;
+      client_request_cmd ~scatter:scatter_out_arg
+        (Cmd.info "analyze-multi"
+           ~doc:
+             "Fleet analysis via the daemon (protocol v2; same JSON as \
+              $(b,polyufc analyze-multi --json))")
+        analyze_multi_request;
+      client_request_cmd
+        (Cmd.info "search"
+           ~doc:
+             "Full compilation flow via the daemon (same JSON as \
+              $(b,polyufc search --json))")
+        search_request;
+      client_request_cmd
+        (Cmd.info "run"
+           ~doc:
+             "Compile and simulate via the daemon (same JSON as $(b,polyufc \
+              run --json))")
+        run_request;
       client_ping_cmd;
       client_stats_cmd;
       client_shutdown_cmd;
@@ -1251,19 +1094,6 @@ let cache_cmd =
   in
   let stats_cmd =
     (* `--json` predates `--format` and is kept as an alias *)
-    let format_arg =
-      let fmt_conv =
-        Arg.enum
-          [ ("text", `Text); ("json", `Json); ("openmetrics", `Openmetrics) ]
-      in
-      Arg.(
-        value
-        & opt fmt_conv `Text
-        & info [ "format" ] ~docv:"FMT"
-            ~doc:
-              "Output format: $(b,text), $(b,json), or $(b,openmetrics) \
-               (Prometheus text exposition, terminated by $(b,# EOF)).")
-    in
     let run cache_dir format json =
       let format = if json then `Json else format in
       let c = R.create ?dir:cache_dir () in
@@ -1372,7 +1202,7 @@ let cache_cmd =
                per-tier hit rates, and index/GC health — all from the \
                store's index, without scanning every entry"
               (String.concat ", " R.kinds)))
-      Term.(const run $ cache_dir_arg $ format_arg $ json_arg)
+      Term.(const run $ cache_dir_arg $ format_arg `Text $ json_arg)
   in
   let gc_cmd =
     let max_bytes_arg =
@@ -1396,12 +1226,7 @@ let cache_cmd =
     in
     let run cache_dir max_bytes max_entries fault_plan =
       guarded @@ fun () ->
-      (match fault_plan with
-      | None -> ()
-      | Some plan -> (
-        match Engine.Faultsim.parse_plan plan with
-        | Ok p -> Engine.Faultsim.install p
-        | Error msg -> Resource_flags.usage_error "invalid --fault-plan: %s" msg));
+      Resource_flags.install_fault_plan fault_plan;
       let c = R.create ?dir:cache_dir ?max_bytes ?max_entries () in
       let r = R.gc ?max_bytes ?max_entries c in
       Format.printf

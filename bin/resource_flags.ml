@@ -172,35 +172,12 @@ let usage_error fmt =
       exit Engine.Guard.exit_usage)
     fmt
 
-let validate t =
-  if t.jobs < 0 then
-    usage_error "invalid --jobs %d (want N >= 0; 0 means one per core)" t.jobs;
-  (match t.deadline_s with
-  | Some d when d <= 0.0 ->
-    usage_error "invalid --deadline %g (want a positive number of seconds)" d
-  | _ -> ());
-  (match t.fuel with
-  | Some n when n <= 0 ->
-    usage_error "invalid --fuel %d (want a positive work-unit count)" n
-  | _ -> ());
-  (match t.cache_max_entries with
-  | Some n when n <= 0 ->
-    usage_error "invalid --cache-max-entries %d (want a positive count)" n
-  | _ -> ());
-  match t.fault_plan with
+let install_fault_plan = function
   | None -> ()
   | Some plan -> (
     match Engine.Faultsim.parse_plan plan with
     | Ok p -> Engine.Faultsim.install p
     | Error msg -> usage_error "invalid --fault-plan: %s" msg)
-
-(* The governance subset of the flag set, for frontends that forward a
-   resource envelope to a daemon instead of building a local context:
-   `polyufc client analyze --deadline 5` ships the deadline as request
-   QoS and lets the server clamp it against its own maxima. *)
-let qos_term =
-  let make deadline_s fuel degrade = (deadline_s, fuel, degrade) in
-  Term.(const make $ deadline_arg $ fuel_arg $ degrade_arg)
 
 let validate_qos (deadline_s, fuel, _degrade) =
   (match deadline_s with
@@ -211,6 +188,24 @@ let validate_qos (deadline_s, fuel, _degrade) =
   | Some n when n <= 0 ->
     usage_error "invalid --fuel %d (want a positive work-unit count)" n
   | _ -> ()
+
+let validate t =
+  if t.jobs < 0 then
+    usage_error "invalid --jobs %d (want N >= 0; 0 means one per core)" t.jobs;
+  validate_qos (t.deadline_s, t.fuel, t.degrade);
+  (match t.cache_max_entries with
+  | Some n when n <= 0 ->
+    usage_error "invalid --cache-max-entries %d (want a positive count)" n
+  | _ -> ());
+  install_fault_plan t.fault_plan
+
+(* The governance subset of the flag set, for frontends that forward a
+   resource envelope to a daemon instead of building a local context:
+   `polyufc client analyze --deadline 5` ships the deadline as request
+   QoS and lets the server clamp it against its own maxima. *)
+let qos_term =
+  let make deadline_s fuel degrade = (deadline_s, fuel, degrade) in
+  Term.(const make $ deadline_arg $ fuel_arg $ degrade_arg)
 
 (* Resolve the flags into a live context and run [f] with it; the pool is
    shut down afterwards (also on exceptions) and SIGINT cancels the
@@ -226,11 +221,8 @@ let with_ctx t f =
            ?max_bytes:t.cache_max_bytes ?max_entries:t.cache_max_entries ())
   in
   let budget =
-    if t.deadline_s = None && t.fuel = None then None
-    else
-      Some
-        (Engine.Budget.create ?deadline_s:t.deadline_s ?fuel:t.fuel
-           ~degrade:t.degrade ())
+    Engine.Budget.of_limits ?deadline_s:t.deadline_s ?fuel:t.fuel
+      ~degrade:t.degrade ()
   in
   let cancel = Engine.Cancel.create () in
   let prev_sigint =

@@ -671,8 +671,7 @@ let analyze_gov ?(ctx = Engine.Ctx.none) ?mode ?apply_thread_heuristic
     analyze_approx ~ctx ?mode ?apply_thread_heuristic ~machine prog
       ~param_values
 
-let cold_misses_symbolic ?pool ?ctx ~machine ~level prog =
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
+let cold_misses_symbolic ?(ctx = Engine.Ctx.none) ~machine ~level prog =
   match prog.Ir.params with
   | [ p ] ->
     (* [analyze] is self-contained, so sample instances may be counted from

@@ -133,7 +133,6 @@ val analyze_gov :
 val total_misses : level_counts -> int
 
 val cold_misses_symbolic :
-  ?pool:Engine.Pool.t ->
   ?ctx:Engine.Ctx.t ->
   machine:Hwsim.Machine.t ->
   level:int ->
@@ -142,8 +141,8 @@ val cold_misses_symbolic :
 (** Ehrhart quasi-polynomial for the level's cold misses as a function of a
     single program parameter (cold misses = distinct lines touched, an
     Ehrhart-countable quantity).  [None] for multi-parameter programs or
-    failed fits.  When a pool is available (via [?pool] — deprecated — or
-    [ctx]), sample instances are analyzed in parallel. *)
+    failed fits.  When [ctx] carries a pool, sample instances are
+    analyzed in parallel. *)
 
 val access_map_with_cache_dims :
   machine:Hwsim.Machine.t ->

@@ -219,9 +219,3 @@ let analyze_gov ?(ctx = Engine.Ctx.none) ~mode ~apply_thread_heuristic ~machine
       if r.M.fidelity = Engine.Fidelity.Exact then
         Engine.Rcache.store cache key (cm_to_json r);
       r)
-
-let analyze_cached ~cache ~mode ~apply_thread_heuristic ~machine prog
-    ~param_values =
-  analyze_gov
-    ~ctx:(Engine.Ctx.create ~cache ())
-    ~mode ~apply_thread_heuristic ~machine prog ~param_values

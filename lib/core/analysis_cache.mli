@@ -56,14 +56,3 @@ val analyze_gov :
     Degraded results are returned but never stored — a future run with a
     healthier budget must be able to compute (and then cache) the exact
     analysis. *)
-
-val analyze_cached :
-  cache:Engine.Rcache.t ->
-  mode:Cache_model.Model.assoc_mode ->
-  apply_thread_heuristic:bool ->
-  machine:Hwsim.Machine.t ->
-  Poly_ir.Ir.t ->
-  param_values:(string * int) list ->
-  Cache_model.Model.result
-(** {!Cache_model.Model.analyze} memoized through the result cache.
-    Deprecated spelling of [analyze_gov ~ctx:(Ctx.create ~cache ())]. *)

@@ -4,9 +4,10 @@
     tenant set under that cap with {!Hwsim.Sim.simulate}.
 
     The CLI's [analyze-multi], the serve daemon's [analyze_multi] op
-    and the traffic-replay bench all go through {!analyze} so the three
-    surfaces report identical numbers and the same roofline scatter
-    rows ({!Report.scatter_row}). *)
+    and the traffic-replay bench all build an [Analyze_multi]
+    {!Request.t}, which {!Pipeline.execute} answers with {!analyze}, so
+    the three surfaces report identical numbers and the same roofline
+    scatter rows ({!Report.scatter_row}). *)
 
 type spec = {
   sp_name : string;

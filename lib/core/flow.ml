@@ -73,11 +73,10 @@ let rec stmt_names_of_item = function
     List.concat_map stmt_names_of_item b.Ir.then_
     @ List.concat_map stmt_names_of_item b.Ir.else_
 
-let compile ?pool ?cache ?ctx ?(objective = Search.Edp) ?(epsilon = 1e-3)
+let compile ?(ctx = Engine.Ctx.none) ?(objective = Search.Edp) ?(epsilon = 1e-3)
     ?(tile_size = 32) ?(tile = true)
     ?(mode = Cache_model.Model.Set_associative) ~machine ~rooflines prog
     ~param_values =
-  let ctx = Engine.Ctx.of_legacy ?pool ?cache ctx in
   let pool = Engine.Ctx.pool ctx in
   let cancel = Engine.Ctx.cancel ctx in
   (* the per-stmt / per-region searches below may themselves run inside

@@ -60,8 +60,6 @@ type compiled = {
 }
 
 val compile :
-  ?pool:Engine.Pool.t ->
-  ?cache:Engine.Rcache.t ->
   ?ctx:Engine.Ctx.t ->
   ?objective:Search.objective ->
   ?epsilon:float ->
@@ -76,9 +74,8 @@ val compile :
 (** [tile] defaults to [true]; pass [false] when the input is already
     Pluto-optimized.
 
-    Resources come from [ctx] ({!Engine.Ctx.t}); [?pool]/[?cache] are the
-    deprecated pre-[Ctx] spellings and are merged into it ([ctx]'s fields
-    win).  The pool fans the per-statement domain checks and the
+    Resources come from [ctx] ({!Engine.Ctx.t}, default {!Engine.Ctx.none}).
+    The pool fans the per-statement domain checks and the
     per-region characterize/estimate/search step out over the workers
     (deterministic: the result is identical to the sequential compile).
     The cache memoizes the PolyUFC-CM analysis — the dominant compile

@@ -37,9 +37,9 @@ let admissible ~epsilon k bd ~(baseline : Perfmodel.estimate)
     let bw_gain = (bw_cap e.Perfmodel.f_c /. bw_cap bottom.Perfmodel.f_c) -. 1.0 in
     perf_gain >= (bw_gain *. 0.5) -. epsilon
 
-let run ?pool ?ctx ?(fidelity = Engine.Fidelity.Exact) ?(objective = Edp)
+let run ?(ctx = Engine.Ctx.none) ?(fidelity = Engine.Fidelity.Exact)
+    ?(objective = Edp)
     ?(epsilon = 1e-3) (k : Roofline.constants) profile =
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
   Engine.Ctx.checkpoint ctx;
   (* the sweep points are independent closed-form evaluations; with a pool
      they fan out across workers (order is preserved by Pool.map, so the

@@ -26,7 +26,6 @@ type outcome = {
 }
 
 val run :
-  ?pool:Engine.Pool.t ->
   ?ctx:Engine.Ctx.t ->
   ?fidelity:Engine.Fidelity.t ->
   ?objective:objective ->
@@ -35,12 +34,12 @@ val run :
   Perfmodel.profile ->
   outcome
 (** Default [objective] is [Edp], default [epsilon] is [1e-3] (the paper's
-    setting, Sec. VII-E).  With a pool (via [?pool] — deprecated — or
-    [ctx]), the f_c sweep points are evaluated in parallel on the worker
-    pool; the outcome is identical to the sequential one (results are
-    re-ordered deterministically).  [fidelity] (default [Exact]) records
-    the fidelity of the profile being searched and is copied into the
-    outcome.  The search itself is closed-form and cheap: [ctx] is only
-    consulted for cancellation / hard (degrade=off) deadlines at entry. *)
+    setting, Sec. VII-E).  With a pool in [ctx], the f_c sweep points are
+    evaluated in parallel on the worker pool; the outcome is identical
+    to the sequential one (results are re-ordered deterministically).
+    [fidelity] (default [Exact]) records the fidelity of the profile being
+    searched and is copied into the outcome.  The search itself is
+    closed-form and cheap: [ctx] is only consulted for cancellation /
+    hard (degrade=off) deadlines at entry. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

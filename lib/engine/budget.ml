@@ -17,6 +17,10 @@ let create ?deadline_s ?fuel ?(degrade = Interp) () =
     policy = degrade;
   }
 
+let of_limits ?deadline_s ?fuel ~degrade () =
+  if deadline_s = None && fuel = None then None
+  else Some (create ?deadline_s ?fuel ~degrade ())
+
 let degrade t = t.policy
 
 let trip msg =

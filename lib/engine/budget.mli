@@ -31,6 +31,11 @@ val create : ?deadline_s:float -> ?fuel:int -> ?degrade:degrade -> unit -> t
     lattice point, one counted slice, or one simulated cache access).
     Omitted limits are unlimited.  [degrade] defaults to {!Interp}. *)
 
+val of_limits :
+  ?deadline_s:float -> ?fuel:int -> degrade:degrade -> unit -> t option
+(** [None] when neither limit is set (an unlimited request needs no
+    budget), otherwise {!create} of the limits. *)
+
 val degrade : t -> degrade
 
 val spend : t -> int -> unit

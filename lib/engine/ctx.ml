@@ -9,12 +9,6 @@ let none = { pool = None; cache = None; budget = None; cancel = None }
 
 let create ?pool ?cache ?budget ?cancel () = { pool; cache; budget; cancel }
 
-let or_else a b = match a with Some _ -> a | None -> b
-
-let of_legacy ?pool ?cache ctx =
-  let c = Option.value ctx ~default:none in
-  { c with pool = or_else c.pool pool; cache = or_else c.cache cache }
-
 let pool t = t.pool
 let cache t = t.cache
 let budget t = t.budget

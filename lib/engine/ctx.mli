@@ -8,11 +8,10 @@
     - [budget]: deadline / fuel / degradation policy ({!Budget});
     - [cancel]: cooperative cancellation token ({!Cancel}).
 
-    Entry points take a single [?ctx:Ctx.t]; the per-function
-    [?pool]/[?cache] optional arguments remain as thin deprecated
-    wrappers for one PR (see DESIGN.md, "Migrating to Ctx").  Passing no
-    context (or {!none}) reproduces the ungoverned, sequential,
-    uncached behaviour bit-for-bit. *)
+    Entry points take a single [?ctx:Ctx.t]; it is the only way to hand
+    them a pool, a cache, a budget or a token (see DESIGN.md, "[Ctx] is
+    the only spelling").  Passing no context (or {!none}) gives the
+    ungoverned, sequential, uncached behaviour. *)
 
 type t = {
   pool : Pool.t option;
@@ -22,17 +21,11 @@ type t = {
 }
 
 val none : t
-(** No pool, no cache, no budget, no cancellation: the legacy default. *)
+(** No pool, no cache, no budget, no cancellation: the default. *)
 
 val create :
   ?pool:Pool.t -> ?cache:Rcache.t -> ?budget:Budget.t -> ?cancel:Cancel.t ->
   unit -> t
-
-val of_legacy : ?pool:Pool.t -> ?cache:Rcache.t -> t option -> t
-(** Merge a [?ctx] argument with legacy [?pool]/[?cache] arguments:
-    explicit context fields win, legacy arguments fill the gaps.  This
-    is what the deprecated wrappers call so both calling styles meet the
-    same code path. *)
 
 val pool : t -> Pool.t option
 val cache : t -> Rcache.t option

@@ -239,14 +239,12 @@ let param_values_array info ~param_values =
       | None -> invalid_arg ("Scop: missing value for parameter " ^ p))
     prog_params
 
-let domain_cardinality ?pool ?ctx _t info ~param_values =
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
+let domain_cardinality ?(ctx = Engine.Ctx.none) _t info ~param_values =
   (* chamber-decomposed counting: O(1) quasi-polynomial evaluation when
      the parametric domain admits chambers, exact ground scan otherwise *)
   Count.card_at ~ctx info.domain (param_values_array info ~param_values)
 
-let flop_count ?pool ?ctx t ~param_values =
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
+let flop_count ?(ctx = Engine.Ctx.none) t ~param_values =
   List.fold_left
     (fun acc info ->
       let card = domain_cardinality ~ctx t info ~param_values in
@@ -275,8 +273,7 @@ let pp_isl ppf t =
 
 let export_isl t = Format.asprintf "%a" pp_isl t
 
-let flop_count_sym ?pool ?ctx t =
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
+let flop_count_sym ?(ctx = Engine.Ctx.none) t =
   match t.prog.Ir.params with
   | [ p ] ->
     Count.interpolate ~ctx

@@ -42,24 +42,21 @@ val schedule_map : t -> stmt_info -> Bset.t
     and iteration variables, padded to the program's maximal depth. *)
 
 val flop_count :
-  ?pool:Engine.Pool.t ->
   ?ctx:Engine.Ctx.t ->
   t ->
   param_values:(string * int) list ->
   int
 (** Total arithmetic operations [Ω = Σ_s ω_s · |D_s|] (Sec. IV-C), counting
     domain cardinalities with the exact (closed-form) counter.  Governed
-    by [ctx]'s budget/cancellation (see {!Presburger.Bset.cardinality});
-    [?pool] is the deprecated pre-[Ctx] spelling. *)
+    by [ctx]'s budget/cancellation (see {!Presburger.Bset.cardinality}). *)
 
 val flop_count_sym :
-  ?pool:Engine.Pool.t -> ?ctx:Engine.Ctx.t -> t -> Count.quasi_poly option
+  ?ctx:Engine.Ctx.t -> t -> Count.quasi_poly option
 (** Symbolic flop count for single-parameter programs, via Ehrhart
     interpolation (the barvinok path). [None] if the program has more or
     fewer than one parameter or interpolation fails. *)
 
 val domain_cardinality :
-  ?pool:Engine.Pool.t ->
   ?ctx:Engine.Ctx.t ->
   t ->
   stmt_info ->

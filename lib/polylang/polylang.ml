@@ -414,13 +414,6 @@ let parse src =
   | Ok () -> prog
   | Error m -> fail "validation: %s" m
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse src
-
 (* ---------- printing (re-parsable) ---------- *)
 
 let to_string prog =

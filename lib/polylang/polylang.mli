@@ -30,7 +30,5 @@ val parse : string -> Poly_ir.Ir.t
     and on validation failures (undeclared arrays, shadowed variables,
     non-affine indices…). *)
 
-val parse_file : string -> Poly_ir.Ir.t
-
 val to_string : Poly_ir.Ir.t -> string
 (** Print a program back to (re-parsable) surface syntax. *)

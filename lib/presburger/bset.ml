@@ -304,9 +304,8 @@ let memo_key t n_scan =
     (List.sort String.compare lines);
   Buffer.contents b
 
-let cardinality ?pool ?ctx t =
+let cardinality ?(ctx = Engine.Ctx.none) t =
   require_ground t "Bset.cardinality";
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
   let n_scan = tuple_dims t in
   let key = memo_key t n_scan in
   match

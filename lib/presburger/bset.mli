@@ -84,19 +84,19 @@ val fold_points : t -> init:'a -> f:('a -> int array -> 'a) -> 'a
 (** Enumerate tuple-dimension points in lexicographic order; params must be
     fixed.  The visited array is reused — copy if retained. *)
 
-val cardinality : ?pool:Engine.Pool.t -> ?ctx:Engine.Ctx.t -> t -> int
+val cardinality : ?ctx:Engine.Ctx.t -> t -> int
 (** Number of tuple-dimension points (params fixed; divs existential).
     Uses the closed-form counting path of {!Poly.count_points} and a
     process-wide memo keyed by the canonical constraint system, so
-    repeated counts of the same polytope are free.  When a pool is
-    available (via [?pool] — deprecated — or [ctx]), large scans are
-    chunked across its workers; the result is identical either way.
+    repeated counts of the same polytope are free.  When [ctx] carries
+    a pool, large scans are chunked across its workers; the result is
+    identical either way.
 
     With a [ctx] carrying a budget or cancellation token the count is
     governed (see {!Poly.count_points}); exhaustion raises before the
     memo is updated, so the memo only ever holds exact counts. *)
 
-val card : ?pool:Engine.Pool.t -> ?ctx:Engine.Ctx.t -> t -> int
+val card : ?ctx:Engine.Ctx.t -> t -> int
 (** Alias for {!cardinality}. *)
 
 val clear_count_memo : unit -> unit

@@ -57,10 +57,9 @@ let pp ppf qp =
 let c_ehrhart_fit = Telemetry.counter "presburger.ehrhart_fit"
 let c_ehrhart_ok = Telemetry.counter "presburger.ehrhart_fit_ok"
 
-let interpolate ?pool ?ctx ?(max_degree = 6) ?(max_period = 8) ?(base = 4)
-    ~count () =
+let interpolate ?(ctx = Engine.Ctx.none) ?(max_degree = 6) ?(max_period = 8)
+    ?(base = 4) ~count () =
   Telemetry.tick c_ehrhart_fit;
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
   let pool = Engine.Ctx.pool ctx in
   (* memoize the (possibly expensive) counts *)
   let raw_count = count in
@@ -148,8 +147,7 @@ let interpolate ?pool ?ctx ?(max_degree = 6) ?(max_period = 8) ?(base = 4)
   if result <> None then Telemetry.tick c_ehrhart_ok;
   result
 
-let card_poly ?pool ?ctx ?max_degree ?max_period ?base instance =
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
+let card_poly ?(ctx = Engine.Ctx.none) ?max_degree ?max_period ?base instance =
   interpolate ~ctx ?max_degree ?max_period ?base
     ~count:(fun n -> Bset.cardinality ~ctx (instance n))
     ()
@@ -297,8 +295,7 @@ let card_gov ?(ctx = Engine.Ctx.none) b =
 
 let card_param ?(ctx = Engine.Ctx.none) b = Chamber.decompose ~ctx b
 
-let card_at ?pool ?ctx b values =
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
+let card_at ?(ctx = Engine.Ctx.none) b values =
   let np = Space.n_params (Bset.space b) in
   if Array.length values <> np then invalid_arg "Count.card_at: arity";
   if np = 0 then Bset.cardinality ~ctx b
@@ -318,8 +315,7 @@ let card_at ?pool ?ctx b values =
     | None -> Bset.cardinality ~ctx (Bset.fix_params b values)
   end
 
-let card_pset_at ?pool ?ctx ps values =
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
+let card_pset_at ?(ctx = Engine.Ctx.none) ps values =
   match Pset.disjuncts ps with
   | [ b ] -> card_at ~ctx b values
   | _ -> Pset.cardinality ~ctx (Pset.fix_params ps values)

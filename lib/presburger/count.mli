@@ -27,7 +27,6 @@ val degree : quasi_poly -> int
 val pp : Format.formatter -> quasi_poly -> unit
 
 val interpolate :
-  ?pool:Engine.Pool.t ->
   ?ctx:Engine.Ctx.t ->
   ?max_degree:int ->
   ?max_period:int ->
@@ -40,14 +39,13 @@ val interpolate :
     quasi-polynomial consistent with all samples (degrees up to
     [max_degree], default 6; periods up to [max_period], default 8; [base]
     default 4).  Each candidate is validated on extra held-out samples.
-    [None] if nothing fits.  When a pool is available (via [?pool] —
-    deprecated — or [ctx]), the not-yet-memoized samples of each candidate
-    are counted in parallel ([count] must then be safe to call from
-    several domains); the result is unchanged.  [ctx]'s cancellation and
+    [None] if nothing fits.  When [ctx] carries a pool, the
+    not-yet-memoized samples of each candidate are counted in parallel
+    ([count] must then be safe to call from several domains); the result
+    is unchanged.  [ctx]'s cancellation and
     budget are polled between candidate fits. *)
 
 val card_poly :
-  ?pool:Engine.Pool.t ->
   ?ctx:Engine.Ctx.t ->
   ?max_degree:int ->
   ?max_period:int ->
@@ -91,7 +89,7 @@ val card_param : ?ctx:Engine.Ctx.t -> Bset.t -> Chamber.t option
     [symbolic/v1] entry.  Budget exhaustion propagates
     ({!Engine.Budget.Exhausted}) before anything is stored. *)
 
-val card_at : ?pool:Engine.Pool.t -> ?ctx:Engine.Ctx.t -> Bset.t -> int array -> int
+val card_at : ?ctx:Engine.Ctx.t -> Bset.t -> int array -> int
 (** [card_at b values] is the cardinality of [b] at the given parameter
     values (length = number of parameters).  Evaluates the chamber
     decomposition in O(1) when one exists; falls back to the exact
@@ -101,6 +99,6 @@ val card_at : ?pool:Engine.Pool.t -> ?ctx:Engine.Ctx.t -> Bset.t -> int array ->
     the exact value does not fit a native [int]. *)
 
 val card_pset_at :
-  ?pool:Engine.Pool.t -> ?ctx:Engine.Ctx.t -> Pset.t -> int array -> int
+  ?ctx:Engine.Ctx.t -> Pset.t -> int array -> int
 (** Parametric cardinality of a disjoint union: chamber path for a
     single disjunct, ground {!Pset.cardinality} otherwise. *)

@@ -265,8 +265,7 @@ let fold_points t ~init ~f =
    to small div-free unions (subtraction requires a div-free subtrahend
    and its piece count grows with the constraint count); everything else
    falls back to the enumerating dedup. *)
-let cardinality ?pool ?ctx t =
-  let ctx = Engine.Ctx.of_legacy ?pool ctx in
+let cardinality ?(ctx = Engine.Ctx.none) t =
   match t.disjuncts with
   | [] -> 0
   | [ b ] -> Bset.cardinality ~ctx b

@@ -60,14 +60,14 @@ val coalesce : t -> t
     set (isl's coalesce): e.g. [{[i]: 0<=i<5} ∪ {[i]: 5<=i<10}] becomes
     [{[i]: 0<=i<10}].  Disjuncts with division variables are left alone. *)
 
-val cardinality : ?pool:Engine.Pool.t -> ?ctx:Engine.Ctx.t -> t -> int
+val cardinality : ?ctx:Engine.Ctx.t -> t -> int
 (** Exact number of distinct tuple points (params fixed).  Works with
     overlapping disjuncts: small div-free unions are disjointified by
     subtraction and counted through the closed-form path; anything else is
     enumerated with deduplication.  Governed by [ctx]'s budget and
     cancellation token (see {!Bset.cardinality}). *)
 
-val card : ?pool:Engine.Pool.t -> ?ctx:Engine.Ctx.t -> t -> int
+val card : ?ctx:Engine.Ctx.t -> t -> int
 (** Alias for {!cardinality}. *)
 
 val fold_points : t -> init:'a -> f:('a -> int array -> 'a) -> 'a

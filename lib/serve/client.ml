@@ -107,3 +107,14 @@ let request t ?id ?(version = 1) ?(qos = Protocol.default_qos) ~op ~params () =
       if rid = id then
         match result with Ok payload -> Ok payload | Error e -> Error e
       else transport "response id mismatch (pipelining on a shared connection?)")
+
+let submit t ?qos (r : Polyufc_core.Request.t) =
+  let op =
+    match r.op with
+    | Polyufc_core.Request.Analyze _ -> Protocol.Analyze
+    | Search _ -> Protocol.Search
+    | Run _ -> Protocol.Run
+    | Analyze_multi _ -> Protocol.Analyze_multi
+  in
+  request t ~version:(Protocol.op_min_version op) ?qos ~op
+    ~params:(Polyufc_core.Request.to_json r) ()

@@ -38,6 +38,13 @@ val request :
     other ids — possible when callers pipeline on a shared connection —
     are not expected here and produce a [Transport] error. *)
 
+val submit :
+  t ->
+  ?qos:Protocol.qos ->
+  Polyufc_core.Request.t ->
+  (Telemetry.Json.t, Protocol.error) result
+(** {!request} of an analysis request, at its op's minimum version. *)
+
 val send : t -> Protocol.request -> (unit, Protocol.error) result
 (** Fire a raw request without waiting — for pipelining tests. *)
 

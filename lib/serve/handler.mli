@@ -6,12 +6,13 @@
     envelope.  Roofline constants come from {!Roofline.for_machine}'s
     process-wide memo.
 
-    {!execute} runs one request to a complete {!Protocol.response}: it
-    builds the per-request {!Engine.Ctx} from the clamped QoS, runs the
-    same pipeline the CLI subcommand runs (so [ok] payloads are
-    byte-identical to [--json] output), and converts any failure into a
-    structured protocol error through {!Engine.Guard.protect} — a
-    request can fail, the daemon cannot. *)
+    {!execute} runs one request to a complete {!Protocol.response}: an
+    analysis op decodes its params with {!Polyufc_core.Request.of_json},
+    builds the per-request {!Engine.Ctx} from the clamped QoS and runs
+    {!Polyufc_core.Pipeline.execute}, as the CLI subcommand does (so
+    [ok] payloads are byte-identical to [--json] output).  Any failure
+    becomes a structured protocol error through {!Engine.Guard.protect}
+    — a request can fail, the daemon cannot. *)
 
 type shared
 

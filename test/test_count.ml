@@ -98,7 +98,7 @@ let test_pool_parity () =
       let tri = parse1 "{ [i, j] : 0 <= i < 200 and 0 <= j <= i }" in
       Bset.clear_count_memo ();
       Alcotest.(check int) "triangle 200 via pool" (200 * 201 / 2)
-        (Bset.cardinality ~pool tri))
+        (Bset.cardinality ~ctx:(Engine.Ctx.create ~pool ()) tri))
 
 (* ---------- modular / div and union cases through the syntax layer ---------- *)
 

@@ -200,8 +200,8 @@ program two(n) {
 }
 |}
 
-let compile_two ?pool ?cache () =
-  Flow.compile ?pool ?cache ~tile:false ~machine:Hwsim.Machine.bdw
+let compile_two ?ctx () =
+  Flow.compile ?ctx ~tile:false ~machine:Hwsim.Machine.bdw
     ~rooflines:(Lazy.force Test_support.bdw_rooflines)
     (Polylang.parse two_region_src)
     ~param_values:[ ("n", 40) ]
@@ -217,9 +217,9 @@ let stable_report c =
 let test_flow_cache_hit_reproduces_compile () =
   Engine.Faultsim.suspended @@ fun () ->
   let cache = R.create ~dir:(fresh_cache_dir ()) () in
-  let cold = compile_two ~cache () in
+  let cold = compile_two ~ctx:(Engine.Ctx.create ~cache ()) () in
   let before = R.counts () in
-  let warm = compile_two ~cache () in
+  let warm = compile_two ~ctx:(Engine.Ctx.create ~cache ()) () in
   let after = R.counts () in
   Alcotest.(check bool) "second compile hit the cache" true
     (after.R.hits > before.R.hits);
@@ -230,7 +230,8 @@ let test_compile_deterministic_in_jobs () =
   let seq = compile_two () in
   let seq_report = stable_report seq in
   let par =
-    P.with_pool ~jobs:4 @@ fun pool -> compile_two ~pool ()
+    P.with_pool ~jobs:4 @@ fun pool ->
+    compile_two ~ctx:(Engine.Ctx.create ~pool ()) ()
   in
   Alcotest.(check string) "jobs=4 = sequential" seq_report
     (stable_report par);
@@ -243,7 +244,9 @@ let test_compile_deterministic_in_jobs () =
     P.map pool
       (fun n ->
         stable_report
-          (Flow.compile ~pool ~cache ~tile:false ~machine:Hwsim.Machine.bdw
+          (Flow.compile
+             ~ctx:(Engine.Ctx.create ~pool ~cache ())
+             ~tile:false ~machine:Hwsim.Machine.bdw
              ~rooflines:(Lazy.force Test_support.bdw_rooflines)
              (Polylang.parse two_region_src)
              ~param_values:[ ("n", n) ]))

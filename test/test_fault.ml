@@ -256,8 +256,8 @@ program two(n) {
 }
 |}
 
-let compile_two ?pool () =
-  Flow.compile ?pool ~tile:false ~machine:Hwsim.Machine.bdw
+let compile_two ?ctx () =
+  Flow.compile ?ctx ~tile:false ~machine:Hwsim.Machine.bdw
     ~rooflines:(Lazy.force Test_support.bdw_rooflines)
     (Polylang.parse two_region_src)
     ~param_values:[ ("n", 40) ]
@@ -268,7 +268,8 @@ let test_flow_partial_under_terminal_crash () =
      self-heals inline — instead of raising or hanging *)
   let c =
     FS.with_plan (plan_of_string "pool.worker_crash:1:17") (fun () ->
-        P.with_pool ~jobs:3 ~max_retries:0 (fun pool -> compile_two ~pool ()))
+        P.with_pool ~jobs:3 ~max_retries:0 (fun pool ->
+            compile_two ~ctx:(Engine.Ctx.create ~pool ()) ()))
   in
   Alcotest.(check bool) "fidelity partial" true
     (c.Flow.fidelity = F.Partial);
@@ -287,7 +288,8 @@ let test_flow_retries_hide_crashes () =
   in
   let crashy =
     FS.with_plan (plan_of_string "pool.worker_crash:0.2:7") (fun () ->
-        P.with_pool ~jobs:4 ~max_retries:10 (fun pool -> compile_two ~pool ()))
+        P.with_pool ~jobs:4 ~max_retries:10 (fun pool ->
+            compile_two ~ctx:(Engine.Ctx.create ~pool ()) ()))
   in
   Alcotest.(check string) "crashy pooled compile = fault-free compile"
     (stable exact) (stable crashy)

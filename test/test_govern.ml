@@ -123,24 +123,6 @@ let test_ctx_checkpoints () =
   | () -> Alcotest.fail "cancelled ctx must raise"
   | exception C.Cancelled _ -> ()
 
-let test_ctx_of_legacy () =
-  P.with_pool ~jobs:2 @@ fun legacy_pool ->
-  P.with_pool ~jobs:2 @@ fun ctx_pool ->
-  let cache = R.create ~dir:(fresh_cache_dir ()) () in
-  let is_pool p = function Some q -> q == p | None -> false in
-  (* no ctx: legacy arguments pass through *)
-  let merged = Ctx.of_legacy ~pool:legacy_pool None in
-  Alcotest.(check bool) "legacy pool kept" true
-    (is_pool legacy_pool (Ctx.pool merged));
-  Alcotest.(check bool) "no cache" true (Ctx.cache merged = None);
-  (* ctx fields win over legacy ones; legacy fills the gaps *)
-  let ctx = Ctx.create ~pool:ctx_pool () in
-  let merged = Ctx.of_legacy ~pool:legacy_pool ~cache (Some ctx) in
-  Alcotest.(check bool) "ctx pool wins" true
-    (is_pool ctx_pool (Ctx.pool merged));
-  Alcotest.(check bool) "legacy cache fills the gap" true
-    (match Ctx.cache merged with Some c -> c == cache | None -> false)
-
 (* ---------- governed counting ---------- *)
 
 let triangle n =
@@ -273,8 +255,8 @@ let test_degraded_never_cached () =
 
 (* ---------- flow: parity, cancellation ---------- *)
 
-let compile_two ?pool ?cache ?ctx () =
-  Flow.compile ?pool ?cache ?ctx ~tile:false ~machine:Hwsim.Machine.bdw
+let compile_two ?ctx () =
+  Flow.compile ?ctx ~tile:false ~machine:Hwsim.Machine.bdw
     ~rooflines:(Lazy.force Test_support.bdw_rooflines)
     (Lazy.force two_region_ir) ~param_values:pv
 
@@ -285,19 +267,17 @@ let stable_report c =
   | j -> J.to_string j
 
 let test_ctx_parity () =
-  (* the Ctx spelling must reproduce the legacy ?pool/?cache spelling
-     byte for byte (separate cache dirs so both paths compute cold) *)
-  let legacy =
-    P.with_pool ~jobs:3 @@ fun pool ->
-    let cache = R.create ~dir:(fresh_cache_dir ()) () in
-    stable_report (compile_two ~pool ~cache ())
-  in
-  let via_ctx =
+  (* a pooled, cached context must reproduce the ungoverned sequential
+     compile byte for byte (a fresh cache dir, so the pooled path
+     computes cold) *)
+  let pooled =
     P.with_pool ~jobs:3 @@ fun pool ->
     let cache = R.create ~dir:(fresh_cache_dir ()) () in
     stable_report (compile_two ~ctx:(Ctx.create ~pool ~cache ()) ())
   in
-  Alcotest.(check string) "ctx = legacy, byte-identical" legacy via_ctx;
+  Alcotest.(check string) "pooled + cached ctx = Ctx.none, byte-identical"
+    (stable_report (compile_two ~ctx:Ctx.none ()))
+    pooled;
   Alcotest.(check bool) "ungoverned ctx = no ctx" true
     (stable_report (compile_two ()) = stable_report (compile_two ~ctx:Ctx.none ()))
 
@@ -412,7 +392,6 @@ let tests =
     Alcotest.test_case "fidelity: lattice and wire form" `Quick test_fidelity;
     Alcotest.test_case "ctx: hard vs soft checkpoints" `Quick
       test_ctx_checkpoints;
-    Alcotest.test_case "ctx: legacy argument merge" `Quick test_ctx_of_legacy;
     Alcotest.test_case "card_gov: bounded retry stays exact" `Quick
       test_card_gov_retry_exact;
     Alcotest.test_case "card_estimate: dilation-fit accuracy" `Quick
@@ -423,7 +402,8 @@ let tests =
       test_degraded_off_raises;
     Alcotest.test_case "degraded results are never cached" `Quick
       test_degraded_never_cached;
-    Alcotest.test_case "ctx parity with legacy flow" `Quick test_ctx_parity;
+    Alcotest.test_case "ctx parity: pooled + cached = none" `Quick
+      test_ctx_parity;
     Alcotest.test_case "cancelled pooled compile unwinds cleanly" `Quick
       test_cancelled_compile;
     Alcotest.test_case "quarantine: truncated entry" `Quick

@@ -26,4 +26,5 @@ let () =
       ("fault", Test_fault.tests);
       ("observability", Test_observability.tests);
       ("serve", Test_serve.tests);
+      ("pipeline", Test_pipeline.tests);
     ]
