@@ -59,17 +59,6 @@ let sim_one ~machine ~uncore ?(caps = []) ?governor_interval_us prog
            ~name:prog.Poly_ir.Ir.prog_name prog;
        ])
 
-(* [prog] pinned at each of [freqs], in one trace walk *)
-let sim_sweep ~machine prog ~param_values freqs =
-  let tenant =
-    Hwsim.Sim.tenant ~param_values ~name:prog.Poly_ir.Ir.prog_name prog
-  in
-  List.combine freqs
-    (Hwsim.Sim.run_each
-       (List.map
-          (fun f -> Hwsim.Sim.config ~machine ~uncore:(`Fixed f) [ tenant ])
-          freqs))
-
 (* memoized per-(workload, machine) compilation; the table is shared by
    pool workers, so probes/inserts are mutex-guarded (the compile itself
    runs unlocked — it is deterministic, a racing duplicate is dropped) *)
@@ -162,7 +151,7 @@ let fig1 () =
       pf "\n--- %s on %s ---\n" name m.Hwsim.Machine.name;
       pf "%-6s %-12s %-12s %-12s\n" "f_c" "time (s)" "energy (J)" "EDP (Js)";
       let rows =
-        sim_sweep ~machine:m prog ~param_values:pv (Hwsim.Machine.uncore_freqs m)
+        Roofline.sweep ~param_values:pv m prog (Hwsim.Machine.uncore_freqs m)
       in
       List.iter
         (fun (f, (o : Hwsim.Sim.outcome)) ->
@@ -375,7 +364,7 @@ let fig8_one name (m : Hwsim.Machine.t) =
       upd best_hw f hw.Hwsim.Sim.edp;
       pf "%-6.1f %-14.4g %-14.4g %-14.4g\n" f e_sa.Perfmodel.edp
         e_fa.Perfmodel.edp hw.Hwsim.Sim.edp)
-    (sim_sweep ~machine:m sa.Flow.optimized ~param_values:pv
+    (Roofline.sweep ~param_values:pv m sa.Flow.optimized
        (Hwsim.Machine.uncore_freqs m));
   pf "EDP minima: set-assoc model @%.1f GHz, fully-assoc model @%.1f GHz, hw @%.1f GHz\n"
     (fst !best_sa) (fst !best_fa) (fst !best_hw);

@@ -1,5 +1,5 @@
 (* Key construction and JSON round-tripping for cached PolyUFC-CM
-   results.
+   results, and the tiling memo in front of them.
 
    Floats are encoded as hexadecimal literals ("%h") and decoded with
    [float_of_string]: the round trip is exact (including infinities, e.g.
@@ -17,8 +17,9 @@ let params_str param_values =
   String.concat ","
     (List.map (fun (p, v) -> Printf.sprintf "%s=%d" p v) param_values)
 
-let cm_key ~machine ~mode ~apply_thread_heuristic ~param_values prog =
-  let scop = Poly_ir.Scop.export_isl (Poly_ir.Scop.extract prog) in
+let scop_isl prog = Poly_ir.Scop.export_isl (Poly_ir.Scop.extract prog)
+
+let cm_key_of_isl ~machine ~mode ~apply_thread_heuristic ~param_values scop =
   Engine.Rcache.key
     [
       ("kind", "polyufc-cm");
@@ -28,6 +29,10 @@ let cm_key ~machine ~mode ~apply_thread_heuristic ~param_values prog =
       ("threads", string_of_bool apply_thread_heuristic);
       ("params", params_str param_values);
     ]
+
+let cm_key ~machine ~mode ~apply_thread_heuristic ~param_values prog =
+  cm_key_of_isl ~machine ~mode ~apply_thread_heuristic ~param_values
+    (scop_isl prog)
 
 (* Everything in the config the simulator reads.  It ignores array
    values (it replays addresses and flop counts), so [Ir.pp]'s rendering
@@ -176,8 +181,144 @@ let cm_of_json ~machine ~mode j =
   | r -> Some r
   | exception Bad_shape -> None
 
-let analyze_gov ?(ctx = Engine.Ctx.none) ~mode ~apply_thread_heuristic ~machine
-    prog ~param_values =
+(* ---- tiling: a process-wide memo in front of tiling/v1 plans ----
+
+   Keyed on an exact digest of the program.  Not on [Ir.pp]: it prints
+   float constants with [%g], so programs differing only in a constant
+   would share an entry.  The memo never holds its mutex across a
+   dependence analysis: tiling is deterministic, a racing duplicate is
+   dropped. *)
+
+module T = Poly_ir.Tiling
+
+let c_tile_memo_hits = Telemetry.counter "tiling.memo_hits"
+let c_tile_store_hits = Telemetry.counter "tiling.store_hits"
+let c_tile_plans = Telemetry.counter "tiling.plans"
+
+type tiled = { program : Poly_ir.Ir.t; scop_isl : string }
+
+type tiling_entry = {
+  plan : T.nest_report list;
+  mutable by_size : (int * tiled) list; (* newest first *)
+}
+
+let tile_memo : (Digest.t, tiling_entry) Hashtbl.t = Hashtbl.create 64
+let tile_memo_mu = Mutex.create ()
+let tile_memo_cap = 256
+let tile_sizes_cap = 8
+
+let clear_tile_memo () =
+  Mutex.protect tile_memo_mu (fun () -> Hashtbl.reset tile_memo)
+
+let program_digest (prog : Poly_ir.Ir.t) =
+  Digest.string (Marshal.to_string prog [ Marshal.No_sharing ])
+
+let tiling_key_of_digest digest =
+  Engine.Rcache.key
+    [
+      ("kind", Engine.Rcache.kind_tiling);
+      ("program", Digest.to_hex digest);
+      ( "legality",
+        String.concat "," (List.map string_of_int T.default_legality_sizes) );
+      ("tiling", string_of_int T.version);
+    ]
+
+let tiling_key prog = tiling_key_of_digest (program_digest prog)
+
+let plan_to_json plan =
+  J.Arr
+    (List.map
+       (fun (n : T.nest_report) ->
+         J.Obj
+           [
+             ("root", J.Str n.T.nest_root);
+             ("band", J.Int n.T.band);
+             ("parallel", J.Bool n.T.parallel);
+             ("deps", J.Int n.T.n_deps);
+           ])
+       plan)
+
+let plan_of_json j =
+  let bool_of = function J.Bool b -> b | _ -> raise Bad_shape in
+  match
+    List.map
+      (fun n ->
+        {
+          T.nest_root = str_of (get "root" n);
+          band = int_of (get "band" n);
+          parallel = bool_of (get "parallel" n);
+          n_deps = int_of (get "deps" n);
+        })
+      (arr_of j)
+  with
+  | plan -> Some plan
+  | exception Bad_shape -> None
+
+let tiled_along ~tile_size prog plan =
+  let program = T.apply ~tile_size prog plan in
+  { program; scop_isl = scop_isl program }
+
+(* the plan of a memo miss and the program tiled along it: a tiling/v1
+   entry when [ctx] has a store and the entry decodes and applies,
+   otherwise a fresh dependence analysis, stored *)
+let plan_and_tile ~ctx ~tile_size digest prog =
+  let key = tiling_key_of_digest digest in
+  let cache = Engine.Ctx.cache ctx in
+  let stored =
+    match Option.bind cache (fun c -> Engine.Rcache.find c key) with
+    | None -> None
+    | Some j -> (
+      match plan_of_json j with
+      | None -> None
+      | Some plan -> (
+        match tiled_along ~tile_size prog plan with
+        | t -> Some (plan, t)
+        | exception Invalid_argument _ -> None))
+  in
+  match stored with
+  | Some hit ->
+    Telemetry.tick c_tile_store_hits;
+    hit
+  | None ->
+    Telemetry.tick c_tile_plans;
+    let plan = T.plan prog in
+    let t = tiled_along ~tile_size prog plan in
+    Option.iter
+      (fun c ->
+        Engine.Rcache.store ~kind:Engine.Rcache.kind_tiling c key
+          (plan_to_json plan))
+      cache;
+    (plan, t)
+
+let tile ~ctx ~tile_size prog =
+  let digest = program_digest prog in
+  let locked f = Mutex.protect tile_memo_mu f in
+  match locked (fun () -> Hashtbl.find_opt tile_memo digest) with
+  | Some e -> (
+    Telemetry.tick c_tile_memo_hits;
+    match locked (fun () -> List.assoc_opt tile_size e.by_size) with
+    | Some t -> t
+    | None ->
+      let t = tiled_along ~tile_size prog e.plan in
+      locked (fun () ->
+          if not (List.mem_assoc tile_size e.by_size) then
+            e.by_size <-
+              (tile_size, t)
+              :: List.filteri (fun i _ -> i < tile_sizes_cap - 1) e.by_size);
+      t)
+  | None ->
+    let plan, t = plan_and_tile ~ctx ~tile_size digest prog in
+    locked (fun () ->
+        if not (Hashtbl.mem tile_memo digest) then begin
+          if Hashtbl.length tile_memo >= tile_memo_cap then
+            Hashtbl.reset tile_memo;
+          Hashtbl.add tile_memo digest { plan; by_size = [ (tile_size, t) ] }
+        end);
+    t
+
+(* [isl] is [prog]'s SCoP export, asked for only on a store lookup *)
+let analyze ~ctx ~isl ~mode ~apply_thread_heuristic ~machine prog
+    ~param_values =
   let compute () =
     (* Warm the chamber memo — and, when the context carries a result
        cache, the symbolic/v1 tier — before the model runs: a parametric
@@ -207,7 +348,8 @@ let analyze_gov ?(ctx = Engine.Ctx.none) ~mode ~apply_thread_heuristic ~machine
   | None -> compute ()
   | Some cache -> (
     let key =
-      cm_key ~machine ~mode ~apply_thread_heuristic ~param_values prog
+      cm_key_of_isl ~machine ~mode ~apply_thread_heuristic ~param_values
+        (isl ())
     in
     match Option.bind (Engine.Rcache.find cache key) (cm_of_json ~machine ~mode) with
     | Some r -> r
@@ -219,3 +361,15 @@ let analyze_gov ?(ctx = Engine.Ctx.none) ~mode ~apply_thread_heuristic ~machine
       if r.M.fidelity = Engine.Fidelity.Exact then
         Engine.Rcache.store cache key (cm_to_json r);
       r)
+
+let analyze_gov ?(ctx = Engine.Ctx.none) ~mode ~apply_thread_heuristic ~machine
+    prog ~param_values =
+  analyze ~ctx
+    ~isl:(fun () -> scop_isl prog)
+    ~mode ~apply_thread_heuristic ~machine prog ~param_values
+
+let analyze_tiled ?(ctx = Engine.Ctx.none) ~mode ~apply_thread_heuristic
+    ~machine t ~param_values =
+  analyze ~ctx
+    ~isl:(fun () -> t.scop_isl)
+    ~mode ~apply_thread_heuristic ~machine t.program ~param_values

@@ -131,9 +131,12 @@ let compile ?(ctx = Engine.Ctx.none) ?(objective = Search.Edp) ?(epsilon = 1e-3)
   in
   Engine.Ctx.checkpoint ctx;
   (* (2) Pluto *)
-  let optimized, pluto_s =
+  let tiled, pluto_s =
     Telemetry.with_span_timed phase_pluto (fun () ->
-        if tile then Tiling.tile_program ~tile_size prog else prog)
+        if tile then Some (Analysis_cache.tile ~ctx ~tile_size prog) else None)
+  in
+  let optimized =
+    match tiled with Some t -> t.Analysis_cache.program | None -> prog
   in
   Engine.Ctx.checkpoint ctx;
   (* (3) PolyUFC-CM on the whole program, with per-statement breakdown.
@@ -144,8 +147,13 @@ let compile ?(ctx = Engine.Ctx.none) ?(objective = Search.Edp) ?(epsilon = 1e-3)
   let (cm, profile), cm_s =
     Telemetry.with_span_timed phase_cm (fun () ->
         let cm =
-          Analysis_cache.analyze_gov ~ctx ~mode ~apply_thread_heuristic:false
-            ~machine optimized ~param_values
+          match tiled with
+          | Some t ->
+            Analysis_cache.analyze_tiled ~ctx ~mode
+              ~apply_thread_heuristic:false ~machine t ~param_values
+          | None ->
+            Analysis_cache.analyze_gov ~ctx ~mode ~apply_thread_heuristic:false
+              ~machine prog ~param_values
         in
         (cm, Perfmodel.profile_of_cm cm))
   in

@@ -72,7 +72,8 @@ val compile :
   param_values:(string * int) list ->
   compiled
 (** [tile] defaults to [true]; pass [false] when the input is already
-    Pluto-optimized.
+    Pluto-optimized.  Tiling goes through {!Analysis_cache.tile}: planned
+    once per program per process, and read back from [ctx]'s store.
 
     Resources come from [ctx] ({!Engine.Ctx.t}, default {!Engine.Ctx.none}).
     The pool fans the per-statement domain checks and the

@@ -31,10 +31,14 @@ let execute ~ctx (r : Request.t) =
   match r.op with
   | Request.Analyze job ->
     let prog, sizes = load job in
-    let tiled = Poly_ir.Tiling.tile_program ~tile_size prog in
+    let tiled =
+      Telemetry.with_span Flow.phase_pluto (fun () ->
+          Analysis_cache.tile ~ctx ~tile_size prog)
+    in
     Analysis
-      (Analysis_cache.analyze_gov ~ctx ~mode:Cache_model.Model.Set_associative
-         ~apply_thread_heuristic:false ~machine tiled ~param_values:sizes)
+      (Analysis_cache.analyze_tiled ~ctx
+         ~mode:Cache_model.Model.Set_associative ~apply_thread_heuristic:false
+         ~machine tiled ~param_values:sizes)
   | Request.Search job -> Compiled (fst (compile job))
   | Request.Run job ->
     let c, sizes = compile job in

@@ -14,7 +14,8 @@ type outcome =
 
 val execute : ctx:Engine.Ctx.t -> Request.t -> outcome
 (** Load every program of the request ({!load}), then run its op under
-    [ctx]: [Analyze] tiles the program and analyzes it through
+    [ctx]: [Analyze] tiles the program ({!Analysis_cache.tile}, in a
+    {!Flow.phase_pluto} span) and analyzes it through
     {!Analysis_cache.analyze_gov}; [Search] and [Run] compile with
     {!Flow.compile} against {!Roofline.for_machine}, and [Run] goes on
     to {!Flow.evaluate}; [Analyze_multi] is {!Fleet.analyze}.  Failures

@@ -285,7 +285,10 @@ let kind_numeric = "numeric/v2"
 let kind_symbolic = "symbolic/v1"
 let kind_roofline = "roofline/v1"
 let kind_sim = "sim/v1"
-let kinds = [ kind_numeric; kind_symbolic; kind_roofline; kind_sim ]
+let kind_tiling = "tiling/v1"
+
+let kinds =
+  [ kind_numeric; kind_symbolic; kind_roofline; kind_sim; kind_tiling ]
 
 type ixent = {
   mutable x_kind : string;

@@ -162,6 +162,11 @@ val kind_sim : string
     [Flow.evaluate], keyed on the program, parameters, caps, governor
     interval, machine fingerprint and simulator version. *)
 
+val kind_tiling : string
+(** ["tiling/v1"]: a program's tiling plan ([Core.Analysis_cache.tile]),
+    keyed on an exact digest of the program, the legality sizes and the
+    tiler version. *)
+
 val kinds : string list
 (** Every kind tag above, in that order. *)
 

@@ -63,7 +63,10 @@ let mark_parallel item =
   | Ir.Loop l -> Ir.Loop { l with Ir.parallel = true }
   | i -> i
 
-let tile ?(tile_size = 32) ?(legality_sizes = [ 6; 9 ]) prog =
+let version = 1
+let default_legality_sizes = [ 6; 9 ]
+
+let plan ?(legality_sizes = default_legality_sizes) prog =
   let scop = Scop.extract prog in
   let dep_samples =
     List.map
@@ -75,63 +78,84 @@ let tile ?(tile_size = 32) ?(legality_sizes = [ 6; 9 ]) prog =
   let dep_samples =
     match dep_samples with [] -> [ [] ] | l -> l
   in
-  let reports = ref [] in
-  let transform_top = function
-    | Ir.Stmt s -> Ir.Stmt s
-    | Ir.If b -> Ir.If b (* top-level branches are left untiled *)
-    | Ir.Loop root ->
-      let band = perfect_band root in
-      let names = stmt_names (Ir.Loop root) in
-      let nest_deps = List.map (fun deps -> deps_of_nest deps names) dep_samples in
-      (* hoisting tile loops above the band requires the band's bounds to
-         be free of loop variables (rectangular band); triangular bands are
-         left to the point loops *)
-      let rect_prefix =
-        let rec go = function
-          | [] -> 0
-          | (l : Ir.loop) :: rest ->
-            let no_vars a = a.Ir.var_coefs = [] in
-            if List.for_all no_vars l.Ir.lo && List.for_all no_vars l.Ir.hi
-            then 1 + go rest
-            else 0
+  List.filter_map
+    (function
+      | Ir.Stmt _ | Ir.If _ -> None (* top-level branches are left untiled *)
+      | Ir.Loop root ->
+        let band = perfect_band root in
+        let names = stmt_names (Ir.Loop root) in
+        let nest_deps =
+          List.map (fun deps -> deps_of_nest deps names) dep_samples
         in
-        go band
-      in
-      let b =
-        List.fold_left
-          (fun acc deps -> min acc (Dependence.permutable_prefix deps))
-          (min (List.length band) rect_prefix)
-          nest_deps
-      in
-      let parallel0 =
-        List.for_all (fun deps -> Dependence.loop_parallel deps 0) nest_deps
-      in
-      let n_deps = List.length (List.hd nest_deps) in
-      if b < 2 then begin
-        (* untiled; still mark the outer loop parallel when legal *)
-        reports :=
-          { nest_root = root.Ir.var; band = 0; parallel = parallel0; n_deps }
-          :: !reports;
-        if parallel0 then mark_parallel (Ir.Loop root) else Ir.Loop root
-      end
-      else begin
-        let tiled_band = List.filteri (fun i _ -> i < b) band in
-        let inner_body =
-          (List.nth band (b - 1)).Ir.body
+        (* hoisting tile loops above the band requires the band's bounds
+           to be free of loop variables (rectangular band); triangular
+           bands are left to the point loops *)
+        let rect_prefix =
+          let rec go = function
+            | [] -> 0
+            | (l : Ir.loop) :: rest ->
+              let no_vars a = a.Ir.var_coefs = [] in
+              if List.for_all no_vars l.Ir.lo && List.for_all no_vars l.Ir.hi
+              then 1 + go rest
+              else 0
+          in
+          go band
         in
-        let tiled = tile_band tile_size tiled_band inner_body in
-        reports :=
-          { nest_root = root.Ir.var; band = b; parallel = parallel0; n_deps }
-          :: !reports;
-        if parallel0 then mark_parallel tiled else tiled
-      end
+        let b =
+          List.fold_left
+            (fun acc deps -> min acc (Dependence.permutable_prefix deps))
+            (min (List.length band) rect_prefix)
+            nest_deps
+        in
+        let parallel =
+          List.for_all (fun deps -> Dependence.loop_parallel deps 0) nest_deps
+        in
+        (* a band shorter than 2 is left untiled *)
+        Some
+          {
+            nest_root = root.Ir.var;
+            band = (if b < 2 then 0 else b);
+            parallel;
+            n_deps = List.length (List.hd nest_deps);
+          })
+    prog.Ir.body
+
+let apply ~tile_size prog nests =
+  let mismatch fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Tiling.apply: " ^ m)) fmt
   in
-  let body = List.map transform_top prog.Ir.body in
-  let tiled = { prog with Ir.body } in
+  let rec go nests = function
+    | [] ->
+      if nests <> [] then mismatch "%d nests left over" (List.length nests);
+      []
+    | (Ir.Stmt _ | Ir.If _) as item :: rest -> item :: go nests rest
+    | Ir.Loop root :: rest -> (
+      match nests with
+      | [] -> mismatch "no plan for nest %s" root.Ir.var
+      | n :: nests ->
+        if n.nest_root <> root.Ir.var then
+          mismatch "nest %s planned as %s" root.Ir.var n.nest_root;
+        let band = perfect_band root in
+        let item =
+          if n.band = 0 then Ir.Loop root
+          else if n.band < 2 || n.band > List.length band then
+            mismatch "band %d of nest %s" n.band root.Ir.var
+          else
+            tile_band tile_size
+              (List.filteri (fun i _ -> i < n.band) band)
+              (List.nth band (n.band - 1)).Ir.body
+        in
+        (if n.parallel then mark_parallel item else item) :: go nests rest)
+  in
+  let tiled = { prog with Ir.body = go nests prog.Ir.body } in
   (match Ir.validate tiled with
   | Ok () -> ()
   | Error m -> invalid_arg ("Tiling produced an invalid program: " ^ m));
-  { tiled; nests = List.rev !reports }
+  tiled
+
+let tile ?(tile_size = 32) ?legality_sizes prog =
+  let nests = plan ?legality_sizes prog in
+  { tiled = apply ~tile_size prog nests; nests }
 
 let tile_program ?tile_size prog = (tile ?tile_size prog).tiled
 

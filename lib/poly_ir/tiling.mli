@@ -23,14 +23,42 @@ type nest_report = {
 
 type report = { tiled : Ir.t; nests : nest_report list }
 
+(** {1 Plan, then apply}
+
+    Tiling splits in two.  {!plan} is the dependence analysis — the
+    expensive half, independent of the tile size; {!apply} is a cheap
+    rewrite of the program along a plan.  Callers that tile the same
+    program repeatedly keep the plan ([Core.Analysis_cache.tile] memoizes
+    it per process and persists it as a [tiling/v1] store entry). *)
+
+val version : int
+(** Salt of persisted plans: bump it whenever {!plan} may answer
+    differently for some program, so stored plans of the old tiler are
+    never served.  A test pins a digest of the plans of every bundled
+    workload under this version. *)
+
+val default_legality_sizes : int list
+(** [[6; 9]]: the sizes at which {!plan} samples dependences by default. *)
+
+val plan : ?legality_sizes:int list -> Ir.t -> nest_report list
+(** One report per top-level loop nest, in program order: how many loops
+    of its perfect band may be tiled ([0]: none) and whether its
+    outermost loop is parallel.  Dependences are tested at each of
+    [legality_sizes] for every parameter; a band is tiled only if legal
+    at all samples. *)
+
+val apply : tile_size:int -> Ir.t -> nest_report list -> Ir.t
+(** Rewrite [prog] along a plan of it: tile each nest's band, mark its
+    outer loop parallel, then {!Ir.validate} the result.
+    @raise Invalid_argument if the plan does not match the program's
+    nests (roots, count or band lengths) or the result is invalid. *)
+
 val tile :
   ?tile_size:int ->
   ?legality_sizes:int list ->
   Ir.t ->
   report
-(** [tile prog] tiles every top-level nest.  Dependences are tested at the
-    given sample sizes for each parameter (default [[6; 9]]); a nest is
-    transformed only if legal at all samples. *)
+(** [tile prog] is {!plan} followed by {!apply} (default tile size 32). *)
 
 val tile_program : ?tile_size:int -> Ir.t -> Ir.t
 (** Convenience: [ (tile prog).tiled ]. *)

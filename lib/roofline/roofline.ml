@@ -102,9 +102,8 @@ let chase_kernel ~lines ~reps ~line_elems =
       ];
   }
 
-(* [prog] pinned at each of [freqs], in one trace walk *)
-let sweep m prog freqs =
-  let tenant = Hwsim.Sim.tenant ~name:"microbench" prog in
+let sweep ?param_values m prog freqs =
+  let tenant = Hwsim.Sim.tenant ?param_values ~name:"microbench" prog in
   List.combine freqs
     (Hwsim.Sim.run_each
        (List.map

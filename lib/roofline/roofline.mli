@@ -41,6 +41,15 @@ val microbench : Hwsim.Machine.t -> constants
     and 20 s on RPL.  Deterministic.  Callers want {!for_machine}, which
     runs it at most once per machine. *)
 
+val sweep :
+  ?param_values:(string * int) list ->
+  Hwsim.Machine.t ->
+  Poly_ir.Ir.t ->
+  float list ->
+  (float * Hwsim.Sim.outcome) list
+(** [prog] simulated with the uncore pinned at each frequency, in one
+    trace walk ({!Hwsim.Sim.run_each}), paired with its frequency. *)
+
 val for_machine : ctx:Engine.Ctx.t -> Hwsim.Machine.t -> constants
 (** The machine's constants, characterized once: an in-process memo keyed
     on {!Hwsim.Machine.fingerprint}, in front of the built-in

@@ -1,7 +1,9 @@
 (* One request, one response (see handler.mli).  Besides the pipeline,
    the daemon keeps warm what [shared] holds — the domain pool and the
-   result-store handle — and two process-wide memos: the roofline
-   constants of {!Roofline.for_machine} and the chamber decompositions of
+   result-store handle — and three process-wide memos: the roofline
+   constants of {!Roofline.for_machine}; the tiling plans of
+   {!Polyufc_core.Analysis_cache.tile}, so a repeated program is tiled
+   in a digest and a table probe; and the chamber decompositions of
    {!Presburger.Chamber}, which an analysis that misses the store
    computes per statement domain, so later requests for the same program
    shape at any parameter value evaluate closed forms. *)

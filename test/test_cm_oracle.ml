@@ -77,10 +77,11 @@ let reduce_torch_op = function
     Mlir_lite.Dialect.T_matmul { mm with k = max 4 (mm.k / 4); n = max 4 (mm.n / 32) }
   | op -> op
 
-let reduced (w : Workloads.t) =
+let reduced ?(tile = true) (w : Workloads.t) =
   match w.Workloads.source with
   | Workloads.Lang _ ->
-    (Workloads.tiled_program w, List.map reduce_size (Workloads.param_values w))
+    ( (if tile then Workloads.tiled_program w else Workloads.program w),
+      List.map reduce_size (Workloads.param_values w) )
   | Workloads.Torch builder ->
     let m = builder () in
     let ops =
@@ -93,7 +94,7 @@ let reduced (w : Workloads.t) =
     in
     let lowered =
       Mlir_lite.Lower.run_pipeline
-        (Mlir_lite.Lower.default_pipeline ~tile:true ())
+        (Mlir_lite.Lower.default_pipeline ~tile ())
         { m with Mlir_lite.Dialect.ops }
     in
     (fst (Mlir_lite.Lower.to_program lowered), [])

@@ -7,6 +7,7 @@ let () =
       ("presburger", Test_presburger.tests);
       ("count", Test_count.tests);
       ("poly_ir", Test_poly_ir.tests);
+      ("tiling", Test_tiling.tests);
       ("polylang", Test_polylang.tests);
       ("hwsim", Test_hwsim.tests);
       ("hwsim_multi", Test_hwsim_multi.tests);

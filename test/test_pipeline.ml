@@ -97,6 +97,101 @@ let test_served_multi () =
   check_served_inline
     (Request.make (Analyze_multi { tenants = two_tenants; solo = false }))
 
+(* ---------- tiling once per program: four paths, one answer ---------- *)
+
+(* a bundled workload at reduced sizes; a lowered torch graph has no
+   size parameters, so its reduced form travels as source *)
+let reduced_job (w : Workloads.t) =
+  match w.Workloads.source with
+  | Workloads.Lang _ ->
+    {
+      Request.program = Workload w.Workloads.name;
+      sizes = snd (Test_cm_oracle.reduced ~tile:false w);
+    }
+  | Workloads.Torch _ ->
+    let prog, sizes = Test_cm_oracle.reduced ~tile:false w in
+    { Request.program = Source (Polylang.to_string prog); sizes }
+
+(* Pipeline.execute as it ran before the tiling memo: [Tiling.tile] on
+   every request, no memo, no store *)
+let oracle (r : Request.t) =
+  let { Request.machine; tile_size; epsilon; objective; _ } = r in
+  let tiled job =
+    let prog, sizes = Pipeline.load job in
+    ((Poly_ir.Tiling.tile ~tile_size prog).Poly_ir.Tiling.tiled, sizes)
+  in
+  let compile job =
+    let prog, sizes = tiled job in
+    ( Flow.compile ~objective ~epsilon ~tile:false ~machine
+        ~rooflines:(Roofline.for_machine ~ctx:Engine.Ctx.none machine)
+        prog ~param_values:sizes,
+      sizes )
+  in
+  match r.op with
+  | Request.Analyze job ->
+    let prog, sizes = tiled job in
+    Pipeline.Analysis
+      (Analysis_cache.analyze_gov ~mode:Cache_model.Model.Set_associative
+         ~apply_thread_heuristic:false ~machine prog ~param_values:sizes)
+  | Request.Search job -> Pipeline.Compiled (fst (compile job))
+  | Request.Run job ->
+    let c, sizes = compile job in
+    Pipeline.Ran (c, Flow.evaluate ~machine c ~param_values:sizes)
+  | Request.Analyze_multi _ -> Alcotest.fail "no oracle for analyze_multi"
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let test_tiling_paths () =
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (w : Workloads.t) ->
+          let job = reduced_job w in
+          let reqs =
+            List.map (Request.make ~machine)
+              [ Request.Analyze job; Search job; Run job ]
+          in
+          let dir = Filename.temp_dir "polyufc_pipeline_test" "" in
+          Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+          let store () = Engine.Ctx.create ~cache:(Engine.Rcache.create ~dir ()) () in
+          let answer ~ctx r = stable (Pipeline.to_json (Pipeline.execute ~ctx r)) in
+          let cold_ctx = store () in
+          let cold =
+            List.map
+              (fun r ->
+                Analysis_cache.clear_tile_memo ();
+                answer ~ctx:cold_ctx r)
+              reqs
+          in
+          let memo = List.map (answer ~ctx:cold_ctx) reqs in
+          let stored =
+            List.map
+              (fun r ->
+                Analysis_cache.clear_tile_memo ();
+                answer ~ctx:(store ()) r)
+              reqs
+          in
+          let oracle = List.map (fun r -> stable (Pipeline.to_json (oracle r))) reqs in
+          List.iteri
+            (fun i r ->
+              let label path =
+                Printf.sprintf "%s %s on %s: %s = oracle" (Request.op_name r.Request.op)
+                  w.Workloads.name machine.Hwsim.Machine.name path
+              in
+              let want = List.nth oracle i in
+              Alcotest.(check string) (label "cold") want (List.nth cold i);
+              Alcotest.(check string) (label "memo hit") want (List.nth memo i);
+              Alcotest.(check string) (label "tiling/v1 hit") want
+                (List.nth stored i))
+            reqs)
+        Workloads.all)
+    [ Hwsim.Machine.bdw; Hwsim.Machine.rpl ]
+
 let test_request_roundtrip () =
   let gemm = { Request.program = Workload "gemm"; sizes = [] } in
   let src = { Request.program = Source mvt_source; sizes = [ ("n", 7) ] } in
@@ -217,6 +312,9 @@ let tests =
       test_served_source;
     Alcotest.test_case "served = inline: analyze_multi" `Quick
       test_served_multi;
+    Alcotest.test_case
+      "cold = memo hit = tiling/v1 hit = Tiling.tile: 29 x 3 ops x BDW/RPL"
+      `Quick test_tiling_paths;
     Alcotest.test_case "request JSON round-trips, defaults stated once"
       `Quick test_request_roundtrip;
     Alcotest.test_case "malformed params are bad_request" `Quick
