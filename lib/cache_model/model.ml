@@ -40,75 +40,59 @@ type result = {
 
 let total_misses lc = lc.cold + lc.capacity_conflict
 
-(* Mutable per-level model state (see the interface for the layout).
-   Fully-associative mode keeps {!Lru} because its one set holds the
-   whole level, 8–16 K lines, where a scan would not pay. *)
+(* Per-level model state.  Set-associative levels run on the shared
+   {!Hwsim.Setassoc} tag-array core; fully-associative mode keeps {!Lru}
+   because its one set holds the whole level, 8–16 K lines, where a scan
+   would not pay.  Hit and miss counts live per statement only (see
+   [analyze]). *)
+type resident =
+  | Tags of Hwsim.Setassoc.t  (* set-assoc: the level's tag array *)
+  | Full of Lru.t  (* fully-assoc: the level's single LRU *)
+
 type level_state = {
   geom : Hwsim.Machine.cache_geometry;
-  line_bytes : int;
+  line_div : Hwsim.Setassoc.divisor;
   n_sets : int;
-  ways : int;
-  tags : int array;  (* set-assoc: n_sets × ways line tags, [empty] pads *)
-  full : Lru.t option;  (* fully-assoc: the level's single LRU *)
+  set_div : Hwsim.Setassoc.divisor;
+  resident : resident;  (* the lines the level holds *)
   seen : Bytes.t;  (* bit [l]: line [l] of the layout ever touched *)
   seen_lines : int;
   seen_beyond : (int, unit) Hashtbl.t;  (* touched lines outside the layout *)
-  mutable c_presented : int;
-  mutable c_cold : int;
-  mutable c_capconf : int;
-  mutable c_hits : int;
-  mutable c_demand_hits : int;
 }
-
-(* no line is [min_int]: lines are byte addresses divided by ℓ ≥ 2 *)
-let empty = min_int
 
 let make_level mode ~footprint (geom : Hwsim.Machine.cache_geometry) =
   let line_bytes = geom.Hwsim.Machine.line_bytes in
   let lines_total = geom.Hwsim.Machine.size_bytes / line_bytes in
-  let n_sets, ways, full =
+  let n_sets, resident =
     match mode with
     | Set_associative ->
-      (lines_total / geom.Hwsim.Machine.assoc, geom.Hwsim.Machine.assoc, None)
-    | Fully_associative -> (1, 0, Some (Lru.create ~capacity:lines_total))
+      let n_sets = lines_total / geom.Hwsim.Machine.assoc in
+      ( n_sets,
+        (* no line is [min_int]: lines are byte addresses divided by ℓ ≥ 2 *)
+        Tags
+          (Hwsim.Setassoc.create ~sets:n_sets ~ways:geom.Hwsim.Machine.assoc
+             ~empty:min_int ~dirty:false) )
+    | Fully_associative -> (1, Full (Lru.create ~capacity:lines_total))
   in
   let seen_lines = (footprint + line_bytes - 1) / line_bytes in
   {
     geom;
-    line_bytes;
+    line_div = Hwsim.Setassoc.divisor line_bytes;
     n_sets;
-    ways;
-    tags = Array.make (n_sets * ways) empty;
-    full;
+    set_div = Hwsim.Setassoc.divisor n_sets;
+    resident;
     seen = Bytes.make ((seen_lines + 7) / 8) '\000';
     seen_lines;
     seen_beyond = Hashtbl.create 16;
-    c_presented = 0;
-    c_cold = 0;
-    c_capconf = 0;
-    c_hits = 0;
-    c_demand_hits = 0;
   }
 
 (* touch [line] in set [set] with {!Lru.touch}'s semantics: [true] on a
-   hit *)
-let touch st set line =
-  match st.full with
-  | Some lru -> Lru.touch lru line
-  | None ->
-    (* an address below the layout: set-associative mode rejects it *)
-    if set < 0 then invalid_arg "index out of bounds";
-    let tags = st.tags and base = set * st.ways in
-    let w = ref 0 in
-    while !w < st.ways && tags.(base + !w) <> line do
-      incr w
-    done;
-    let hit = !w < st.ways in
-    for k = (if hit then !w else st.ways - 1) downto 1 do
-      tags.(base + k) <- tags.(base + k - 1)
-    done;
-    tags.(base) <- line;
-    hit
+   hit; an address below the layout gives a negative set, which
+   set-associative mode rejects *)
+let[@inline] touch st set line =
+  match st.resident with
+  | Tags tags -> Hwsim.Setassoc.touch tags ~set line
+  | Full lru -> Lru.touch lru line
 
 (* record [line] as seen; [true] on its first touch *)
 let first_touch st line =
@@ -134,24 +118,19 @@ let rec has_parallel_loop = function
     List.exists has_parallel_loop b.Ir.then_
     || List.exists has_parallel_loop b.Ir.else_
 
-type stmt_state = {
-  ss_presented : int array;
-  ss_cold : int array;
-  ss_capconf : int array;
-  ss_hits : int array;
-  ss_demand_hits : int array;
-  mutable ss_flops : int;
-}
+(* A statement's counters: one flat array, [n_fields] per level *)
+type stmt_state = { counts : int array; mutable ss_flops : int }
 
-let stmt_state_make n_levels =
-  {
-    ss_presented = Array.make n_levels 0;
-    ss_cold = Array.make n_levels 0;
-    ss_capconf = Array.make n_levels 0;
-    ss_hits = Array.make n_levels 0;
-    ss_demand_hits = Array.make n_levels 0;
-    ss_flops = 0;
-  }
+let n_fields = 5
+let f_presented = 0
+let f_cold = 1
+let f_capconf = 2
+let f_hits = 3
+let f_demand_hits = 4
+
+let stmt_state_make n_levels = { counts = Array.make (n_levels * n_fields) 0; ss_flops = 0 }
+
+let[@inline] bump (c : int array) i = c.(i) <- c.(i) + 1
 
 let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
     ?(apply_thread_heuristic = true) ?(set_sampling = 1) ~machine prog
@@ -162,22 +141,12 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
   @@ fun () ->
   if set_sampling < 1 then invalid_arg "Model.analyze: set_sampling < 1";
   (* resource governance: the access-stream enumeration below is the
-     dominant compile cost (Table IV), so each simulated access is
-     metered against the context's budget/cancellation in batches *)
+     dominant compile cost (Table IV), so its accesses are metered against
+     the context's budget/cancellation once per chunk *)
   let governed = ctx.Engine.Ctx.budget <> None || ctx.Engine.Ctx.cancel <> None in
-  let gov_pending = ref 0 in
-  let gov_meter () =
-    if governed then begin
-      incr gov_pending;
-      if !gov_pending >= 8192 then begin
-        Engine.Ctx.spend ctx !gov_pending;
-        gov_pending := 0
-      end
-    end
-  in
   let sampling = match mode with Fully_associative -> 1 | Set_associative -> set_sampling in
   (* the seen-line bitsets span the layout; an invalid program gets empty
-     ones here and its error from [Interp.run] below *)
+     ones here and its error from [Trace.scan] below *)
   let footprint =
     match Layout.of_program prog ~param_values with
     | l -> l.Layout.footprint
@@ -189,86 +158,90 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
   in
   let n_levels = Array.length levels in
   let last = n_levels - 1 in
-  let stmt_tbl : (string, stmt_state) Hashtbl.t = Hashtbl.create 16 in
+  (* per-statement counters, by the trace's statement index, created on
+     a statement's first instance *)
+  let tables = Trace.tables prog in
+  let states = Array.make (Array.length tables.Trace.stmts) None in
   let stmt_order = ref [] in
-  let stmt_state name =
-    match Hashtbl.find_opt stmt_tbl name with
+  let state k =
+    match states.(k) with
     | Some s -> s
     | None ->
       let s = stmt_state_make n_levels in
-      Hashtbl.add stmt_tbl name s;
-      stmt_order := name :: !stmt_order;
+      states.(k) <- Some s;
+      stmt_order := k :: !stmt_order;
       s
   in
-  (* [Interp] fires [on_stmt] before each instance's accesses, so the
-     instance's counter block is resolved there, once; a statement's
-     name is the same physical string on every instance *)
-  let cur_name = ref "" and cur = ref (stmt_state_make n_levels) in
-  let on_stmt ~stmt ~flops =
-    if stmt != !cur_name then begin
-      cur := stmt_state stmt;
-      cur_name := stmt
-    end;
-    let ss = !cur in
-    ss.ss_flops <- ss.ss_flops + flops
-  in
-  let on_access ~stmt:_ ~array:_ ~addr ~bytes:_ ~is_write =
-    gov_meter ();
-    let ss = !cur in
+  let cur = ref (stmt_state_make n_levels) in
+  let access ss addr is_write =
+    let c = ss.counts in
     (* write-through: level i+1 sees level i's misses and all writes *)
     let i = ref 0 and missed = ref false in
     while !i < n_levels && (!i = 0 || !missed || is_write) do
       let li = !i in
       let demand = li = 0 || !missed in
       let st = levels.(li) in
-      let line = addr / st.line_bytes in
-      let set = if st.n_sets = 1 then 0 else line mod st.n_sets in
+      let line = Hwsim.Setassoc.div st.line_div addr in
+      let set = if st.n_sets = 1 then 0 else Hwsim.Setassoc.rem st.set_div line in
       (* Bullseye-style sampling applies to the last level only: the
          shallower levels keep exact state so the write-through
          presentation chain stays unbiased *)
       if sampling > 1 && li = last && set mod sampling <> 0 then i := n_levels
       else begin
-        st.c_presented <- st.c_presented + 1;
-        ss.ss_presented.(li) <- ss.ss_presented.(li) + 1;
+        let at = li * n_fields in
+        bump c (at + f_presented);
         if touch st set line then begin
-          st.c_hits <- st.c_hits + 1;
-          ss.ss_hits.(li) <- ss.ss_hits.(li) + 1;
-          if demand then begin
-            st.c_demand_hits <- st.c_demand_hits + 1;
-            ss.ss_demand_hits.(li) <- ss.ss_demand_hits.(li) + 1
-          end;
+          bump c (at + f_hits);
+          if demand then bump c (at + f_demand_hits);
           missed := false
         end
         else begin
-          if first_touch st line then begin
-            st.c_cold <- st.c_cold + 1;
-            ss.ss_cold.(li) <- ss.ss_cold.(li) + 1
-          end
-          else begin
-            st.c_capconf <- st.c_capconf + 1;
-            ss.ss_capconf.(li) <- ss.ss_capconf.(li) + 1
-          end;
+          bump c (at + if first_touch st line then f_cold else f_capconf);
           missed := true
         end;
         i := li + 1
       end
     done
   in
+  let on_chunk buf len =
+    let n_acc = ref 0 in
+    for e = 0 to len - 1 do
+      let code = Array.unsafe_get buf e in
+      let kind = code land 7 in
+      if kind <= Trace.ev_write then begin
+        incr n_acc;
+        access !cur (code asr 3) (kind = Trace.ev_write)
+      end
+      else if kind = Trace.ev_stmt then begin
+        let k = code asr 3 in
+        let ss = state k in
+        ss.ss_flops <- ss.ss_flops + tables.Trace.stmts.(k).Trace.s_flops;
+        cur := ss
+      end
+    done;
+    if governed then Engine.Ctx.spend ctx !n_acc
+  in
   (* only last-level counters are scaled back up *)
   let scale_at i x = if i = n_levels - 1 then x * sampling else x in
-  let cb = { (Interp.with_access on_access) with Interp.on_stmt } in
-  let res = Interp.run ~compute:false prog ~param_values cb in
-  if governed then Engine.Ctx.spend ctx !gov_pending;
+  let res = Trace.scan prog ~param_values ~on_chunk in
+  let stmt_order = List.rev !stmt_order in
+  let stmt_state k = Option.get states.(k) in
+  (* the per-level totals are the sums of the per-statement counters *)
+  let total i f =
+    List.fold_left
+      (fun acc k -> acc + (stmt_state k).counts.((i * n_fields) + f))
+      0 stmt_order
+  in
   let counts =
     Array.mapi
       (fun i st ->
         {
           level_name = st.geom.Hwsim.Machine.level_name;
-          presented = scale_at i st.c_presented;
-          cold = scale_at i st.c_cold;
-          capacity_conflict = scale_at i st.c_capconf;
-          hits = scale_at i st.c_hits;
-          demand_hits = scale_at i st.c_demand_hits;
+          presented = scale_at i (total i f_presented);
+          cold = scale_at i (total i f_cold);
+          capacity_conflict = scale_at i (total i f_capconf);
+          hits = scale_at i (total i f_hits);
+          demand_hits = scale_at i (total i f_demand_hits);
         })
       levels
   in
@@ -284,18 +257,19 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
   let miss_llc = float_of_int (total_misses llc) /. float_of_int divisor in
   let line = (Hwsim.Machine.llc machine).Hwsim.Machine.line_bytes in
   let per_stmt =
-    List.rev_map
-      (fun name ->
-        let ss = Hashtbl.find stmt_tbl name in
+    List.map
+      (fun k ->
+        let name = tables.Trace.stmts.(k).Trace.s_name in
+        let ss = stmt_state k in
         let stmt_levels =
           Array.init n_levels (fun i ->
               {
                 level_name = counts.(i).level_name;
-                presented = scale_at i ss.ss_presented.(i);
-                cold = scale_at i ss.ss_cold.(i);
-                capacity_conflict = scale_at i ss.ss_capconf.(i);
-                hits = scale_at i ss.ss_hits.(i);
-                demand_hits = scale_at i ss.ss_demand_hits.(i);
+                presented = scale_at i ss.counts.((i * n_fields) + f_presented);
+                cold = scale_at i ss.counts.((i * n_fields) + f_cold);
+                capacity_conflict = scale_at i ss.counts.((i * n_fields) + f_capconf);
+                hits = scale_at i ss.counts.((i * n_fields) + f_hits);
+                demand_hits = scale_at i ss.counts.((i * n_fields) + f_demand_hits);
               })
         in
         let m_llc =
@@ -311,7 +285,7 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
               (if q > 0.0 then float_of_int ss.ss_flops /. q
                else Float.infinity);
           } ))
-      !stmt_order
+      stmt_order
   in
   let q_dram = miss_llc *. float_of_int line in
   let hit_ratios =
@@ -332,9 +306,9 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
     threads_divisor = divisor;
     miss_llc;
     q_dram_bytes = q_dram;
-    flops = res.Interp.flops;
+    flops = res.Trace.flops;
     oi =
-      (if q_dram > 0.0 then float_of_int res.Interp.flops /. q_dram
+      (if q_dram > 0.0 then float_of_int res.Trace.flops /. q_dram
        else Float.infinity);
     hit_ratios;
     miss_ratios = Array.map (fun h -> 1.0 -. h) hit_ratios;

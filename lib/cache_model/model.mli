@@ -13,17 +13,21 @@
     is performed by exact enumeration here, with Ehrhart interpolation
     available for the polynomial quantities (flop count Ω, cold misses).
 
-    The classification walks the stream through flat state, one access
-    at a time.  In [Set_associative] mode each level is one [int array]
-    of [n_sets × assoc] line tags, every set kept MRU-first: a hit
-    shifts the ways in front of the line down by one, a miss inserts at
-    the front and drops the last way (true LRU).  {!Lru} serves only
-    [Fully_associative] mode, whose single set holds the whole level.
-    Lines already seen are a bitset over the program's layout; lines
-    outside it go to a small overflow table, so a negative set index
-    still raises in set-associative mode and fully-associative mode
-    still counts them.  Each statement instance's counters are resolved
-    once, in [Interp]'s [on_stmt], so no name is hashed per access.
+    The classification reads {!Poly_ir.Trace.scan}'s chunks of packed
+    events, one access at a time, with no closure call per access.  In
+    [Set_associative] mode each level is one {!Hwsim.Setassoc} tag array
+    of [n_sets × assoc] lines, every set kept MRU-first: a hit shifts the
+    ways in front of the line down by one, a miss inserts at the front and
+    drops the last way (true LRU); the set index is computed without an
+    integer division.  {!Lru} serves only [Fully_associative] mode, whose
+    single set holds the whole level.  Lines already seen are a bitset
+    over the program's layout; lines outside it go to a small overflow
+    table, so a negative set index still raises in set-associative mode
+    and fully-associative mode still counts them.  A statement event
+    selects the instance's counter block by the statement's index, and
+    only those per-statement counters are kept during the walk: the
+    per-level totals are their sums.  The accesses of each chunk are
+    charged to the context's budget once per chunk.
 
     Paper assumptions kept: no prefetching, cold initial caches,
     homogeneous associativity per level, and the OpenMP heuristic that

@@ -200,6 +200,8 @@ type tiled = { program : Poly_ir.Ir.t; scop_isl : string }
 type tiling_entry = {
   plan : T.nest_report list;
   mutable by_size : (int * tiled) list; (* newest first *)
+  mutable source : Poly_ir.Scop.t option;
+      (* the untiled program's SCoP, once a request has extracted it *)
 }
 
 let tile_memo : (Digest.t, tiling_entry) Hashtbl.t = Hashtbl.create 64
@@ -207,11 +209,25 @@ let tile_memo_mu = Mutex.create ()
 let tile_memo_cap = 256
 let tile_sizes_cap = 8
 
+(* empty-domain counts by (program digest, sorted sizes) *)
+let empty_memo : (Digest.t * (string * int) list, int) Hashtbl.t = Hashtbl.create 64
+
 let clear_tile_memo () =
-  Mutex.protect tile_memo_mu (fun () -> Hashtbl.reset tile_memo)
+  Mutex.protect tile_memo_mu (fun () ->
+      Hashtbl.reset tile_memo;
+      Hashtbl.reset empty_memo)
+
+(* the last program digested: one request asks for its program's digest
+   in the preprocess and again in the pluto phase *)
+let last_digest : (Poly_ir.Ir.t * Digest.t) option Atomic.t = Atomic.make None
 
 let program_digest (prog : Poly_ir.Ir.t) =
-  Digest.string (Marshal.to_string prog [ Marshal.No_sharing ])
+  match Atomic.get last_digest with
+  | Some (p, d) when p == prog -> d
+  | _ ->
+    let d = Digest.string (Marshal.to_string prog [ Marshal.No_sharing ]) in
+    Atomic.set last_digest (Some (prog, d));
+    d
 
 let tiling_key_of_digest digest =
   Engine.Rcache.key
@@ -312,9 +328,53 @@ let tile ~ctx ~tile_size prog =
         if not (Hashtbl.mem tile_memo digest) then begin
           if Hashtbl.length tile_memo >= tile_memo_cap then
             Hashtbl.reset tile_memo;
-          Hashtbl.add tile_memo digest { plan; by_size = [ (tile_size, t) ] }
+          Hashtbl.add tile_memo digest
+            { plan; by_size = [ (tile_size, t) ]; source = None }
         end);
     t
+
+let empty_stmt_domains ~ctx prog ~param_values =
+  let digest = program_digest prog in
+  let key = (digest, List.sort compare param_values) in
+  let locked f = Mutex.protect tile_memo_mu f in
+  match locked (fun () -> Hashtbl.find_opt empty_memo key) with
+  | Some n -> (n, Engine.Fidelity.Exact)
+  | None ->
+    let entry = locked (fun () -> Hashtbl.find_opt tile_memo digest) in
+    let scop =
+      match Option.bind entry (fun e -> e.source) with
+      | Some scop -> scop
+      | None ->
+        let scop = Poly_ir.Scop.extract prog in
+        Option.iter (fun e -> locked (fun () -> e.source <- Some scop)) entry;
+        scop
+    in
+    let empty (info : Poly_ir.Scop.stmt_info) =
+      let sp = Presburger.Bset.space info.Poly_ir.Scop.domain in
+      let values =
+        Array.map
+          (fun p -> Option.value (List.assoc_opt p param_values) ~default:0)
+          sp.Presburger.Space.params
+      in
+      Presburger.Bset.is_empty
+        (Presburger.Bset.fix_params info.Poly_ir.Scop.domain values)
+    in
+    (* independent per-statement checks; fanned out when the context has
+       a pool, where only the total is observable *)
+    let flags, fid =
+      match Engine.Ctx.pool ctx with
+      | None -> (List.map empty scop.Poly_ir.Scop.stmt_infos, Engine.Fidelity.Exact)
+      | Some pool ->
+        Engine.Pool.map_partial ?cancel:(Engine.Ctx.cancel ctx) pool empty
+          scop.Poly_ir.Scop.stmt_infos
+    in
+    let n = List.length (List.filter Fun.id flags) in
+    (* a count with abandoned jobs is partial: never memoized *)
+    if fid = Engine.Fidelity.Exact then
+      locked (fun () ->
+          if Hashtbl.length empty_memo >= tile_memo_cap then Hashtbl.reset empty_memo;
+          Hashtbl.replace empty_memo key n);
+    (n, fid)
 
 (* [isl] is [prog]'s SCoP export, asked for only on a store lookup *)
 let analyze ~ctx ~isl ~mode ~apply_thread_heuristic ~machine prog

@@ -74,7 +74,20 @@ val plan_to_json : Poly_ir.Tiling.nest_report list -> Telemetry.Json.t
 (** The [tiling/v1] payload. *)
 
 val clear_tile_memo : unit -> unit
-(** Drop every memo entry (tests use it to reach the store tier). *)
+(** Drop every memo entry (tests use it to reach the store tier), the
+    {!empty_stmt_domains} counts included. *)
+
+val empty_stmt_domains :
+  ctx:Engine.Ctx.t ->
+  Poly_ir.Ir.t ->
+  param_values:(string * int) list ->
+  int * Engine.Fidelity.t
+(** How many statements of a valid [prog] have an empty iteration domain
+    at the sizes (a missing size counts as 0), and the pool fidelity of
+    the count.  An exact count is memoized per (program digest, sizes);
+    on a miss the source SCoP comes from the program's {!tile} memo entry
+    when a request has already extracted it there, and the checks fan out
+    over [ctx]'s pool when it has one. *)
 
 val analyze_gov :
   ?ctx:Engine.Ctx.t ->

@@ -96,38 +96,17 @@ let compile ?(ctx = Engine.Ctx.none) ?(objective = Search.Edp) ?(epsilon = 1e-3)
   let note_partial fid =
     pool_fidelity := Engine.Fidelity.worst !pool_fidelity fid
   in
-  (* (1) preprocess: validation + SCoP extraction + per-statement domain
-     sanity (an empty iteration domain under the given sizes means a dead
-     statement and usually a sizing mistake) *)
+  (* (1) preprocess: validation + per-statement domain sanity (an empty
+     iteration domain under the given sizes means a dead statement and
+     usually a sizing mistake), memoized per program and sizes *)
   let (), preprocess_s =
     Telemetry.with_span_timed phase_preprocess (fun () ->
         (match Ir.validate prog with
         | Ok () -> ()
         | Error m -> invalid_arg ("Flow.compile: " ^ m));
-        let scop = Scop.extract prog in
-        let check_domain (info : Scop.stmt_info) =
-          let sp = Presburger.Bset.space info.Scop.domain in
-          let values =
-            Array.map
-              (fun p ->
-                match List.assoc_opt p param_values with
-                | Some v -> v
-                | None -> 0)
-              sp.Presburger.Space.params
-          in
-          if Presburger.Bset.is_empty (Presburger.Bset.fix_params info.Scop.domain values)
-          then Telemetry.tick c_empty_domains
-        in
-        (* independent per-statement checks; fan them out when a pool was
-           given (only the counter total is observable, order-free) *)
-        match pool with
-        | None -> List.iter check_domain scop.Scop.stmt_infos
-        | Some pool ->
-          let (_ : unit list), fid =
-            Engine.Pool.map_partial ?cancel pool check_domain
-              scop.Scop.stmt_infos
-          in
-          note_partial fid)
+        let n, fid = Analysis_cache.empty_stmt_domains ~ctx prog ~param_values in
+        note_partial fid;
+        Telemetry.add c_empty_domains n)
   in
   Engine.Ctx.checkpoint ctx;
   (* (2) Pluto *)

@@ -36,9 +36,10 @@ let execute ~ctx (r : Request.t) =
           Analysis_cache.tile ~ctx ~tile_size prog)
     in
     Analysis
-      (Analysis_cache.analyze_tiled ~ctx
-         ~mode:Cache_model.Model.Set_associative ~apply_thread_heuristic:false
-         ~machine tiled ~param_values:sizes)
+      (Telemetry.with_span Flow.phase_cm (fun () ->
+           Analysis_cache.analyze_tiled ~ctx
+             ~mode:Cache_model.Model.Set_associative ~apply_thread_heuristic:false
+             ~machine tiled ~param_values:sizes))
   | Request.Search job -> Compiled (fst (compile job))
   | Request.Run job ->
     let c, sizes = compile job in

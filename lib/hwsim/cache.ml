@@ -5,17 +5,22 @@ type level_stats = {
   mutable writebacks : int;
 }
 
-(* one cache level: per-set arrays of tags with LRU order; slot 0 = MRU.
-   tags store the line address (addr / line_bytes); -1 = invalid. *)
+(* one cache level on the shared tag-array core; tags are line
+   addresses (addr / line_bytes), -1 marks an unused way *)
 type level = {
   geom : Machine.cache_geometry;
-  n_sets : int;
-  tags : int array;  (* n_sets * assoc *)
-  dirty : bool array;
+  sets : Setassoc.divisor;
+  fold : bool;  (* XOR-folded set index (see [set_of]) *)
+  core : Setassoc.t;
   stats : level_stats;
 }
 
-type t = { levels : level array; mutable dram_reads : int; mutable dram_wb : int }
+type t = {
+  levels : level array;
+  line_div : Setassoc.divisor;
+  mutable dram_reads : int;
+  mutable dram_wb : int;
+}
 
 type outcome = { hit_level : int; dram_fill : bool; dram_writeback : bool }
 
@@ -24,9 +29,9 @@ let make_level geom =
   assert (n_sets > 0);
   {
     geom;
-    n_sets;
-    tags = Array.make (n_sets * geom.Machine.assoc) (-1);
-    dirty = Array.make (n_sets * geom.Machine.assoc) false;
+    sets = Setassoc.divisor n_sets;
+    fold = n_sets >= 512;
+    core = Setassoc.create ~sets:n_sets ~ways:geom.Machine.assoc ~empty:(-1) ~dirty:true;
     stats = { hits = 0; misses = 0; evictions = 0; writebacks = 0 };
   }
 
@@ -34,126 +39,78 @@ let create geoms =
   assert (geoms <> []);
   let line = (List.hd geoms).Machine.line_bytes in
   List.iter (fun g -> assert (g.Machine.line_bytes = line)) geoms;
-  { levels = Array.of_list (List.map make_level geoms); dram_reads = 0; dram_wb = 0 }
+  {
+    levels = Array.of_list (List.map make_level geoms);
+    line_div = Setassoc.divisor line;
+    dram_reads = 0;
+    dram_wb = 0;
+  }
 
 let n_levels t = Array.length t.levels
 
 (* set index: XOR-fold the upper line bits into the index, as real LLC
    designs do, so that power-of-two strides do not resonate with a
-   power-of-two set count (cf. Intel's complex addressing); inner levels keep plain modulo indexing *)
-let set_of lvl line =
-  if lvl.n_sets < 512 then line mod lvl.n_sets
-  else begin
-    let h = line lxor (line / lvl.n_sets) lxor (line / (lvl.n_sets * lvl.n_sets)) in
-    ((h mod lvl.n_sets) + lvl.n_sets) mod lvl.n_sets
-  end
+   power-of-two set count (cf. Intel's complex addressing); inner levels
+   keep plain modulo indexing, whose negative results raise *)
+let[@inline] set_of lvl line =
+  if lvl.fold then Setassoc.fold_index lvl.sets line else Setassoc.rem lvl.sets line
 
-(* look up a line in a level; on hit, move to MRU and return true.
-   [set_dirty] marks the line dirty on hit. *)
+(* look up a line; on a hit it becomes MRU, dirty if [set_dirty] *)
 let probe lvl line ~set_dirty =
-  let assoc = lvl.geom.Machine.assoc in
   let set = set_of lvl line in
-  let base = set * assoc in
-  let rec find i =
-    if i = assoc then -1
-    else if lvl.tags.(base + i) = line then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  if i < 0 then false
-  else begin
-    (* move to front, preserving order of the others *)
-    let d = lvl.dirty.(base + i) in
-    for k = i downto 1 do
-      lvl.tags.(base + k) <- lvl.tags.(base + k - 1);
-      lvl.dirty.(base + k) <- lvl.dirty.(base + k - 1)
-    done;
-    lvl.tags.(base) <- line;
-    lvl.dirty.(base) <- (d || set_dirty);
+  Setassoc.find_promote lvl.core ~set line
+  && begin
+    if set_dirty then Setassoc.mark_dirty lvl.core ~set;
     true
   end
 
-(* insert a line at MRU; returns the victim (tag, dirty) if one was evicted *)
-let insert lvl line ~dirty =
-  let assoc = lvl.geom.Machine.assoc in
-  let set = set_of lvl line in
-  let base = set * assoc in
-  let victim_tag = lvl.tags.(base + assoc - 1) in
-  let victim_dirty = lvl.dirty.(base + assoc - 1) in
-  for k = assoc - 1 downto 1 do
-    lvl.tags.(base + k) <- lvl.tags.(base + k - 1);
-    lvl.dirty.(base + k) <- lvl.dirty.(base + k - 1)
-  done;
-  lvl.tags.(base) <- line;
-  lvl.dirty.(base) <- dirty;
-  if victim_tag >= 0 then Some (victim_tag, victim_dirty) else None
-
-(* invalidate a line in a level (inclusion back-invalidation); a dirty
-   shallow copy is merged into the return value *)
-let invalidate lvl line =
-  let assoc = lvl.geom.Machine.assoc in
-  let set = set_of lvl line in
-  let base = set * assoc in
-  let rec find i =
-    if i = assoc then false
-    else if lvl.tags.(base + i) = line then begin
-      let d = lvl.dirty.(base + i) in
-      (* compact: shift the rest up *)
-      for k = i to assoc - 2 do
-        lvl.tags.(base + k) <- lvl.tags.(base + k + 1);
-        lvl.dirty.(base + k) <- lvl.dirty.(base + k + 1)
-      done;
-      lvl.tags.(base + assoc - 1) <- -1;
-      lvl.dirty.(base + assoc - 1) <- false;
-      d
-    end
-    else find (i + 1)
-  in
-  find 0
-
-let access t ~addr ~is_write =
-  let line = addr / t.levels.(0).geom.Machine.line_bytes in
-  let n = Array.length t.levels in
+let access_code t ~addr ~is_write =
+  let line = Setassoc.div t.line_div addr in
+  let levels = t.levels in
+  let n = Array.length levels in
   (* search; a write hit marks the line dirty at the level that serves it *)
-  let rec search i =
-    if i = n then n
-    else if probe t.levels.(i) line ~set_dirty:is_write then i
-    else begin
-      t.levels.(i).stats.misses <- t.levels.(i).stats.misses + 1;
-      search (i + 1)
-    end
-  in
-  let hit_level = search 0 in
-  if hit_level < n then
-    t.levels.(hit_level).stats.hits <- t.levels.(hit_level).stats.hits + 1;
-  let dram_fill = hit_level = n in
-  if dram_fill then t.dram_reads <- t.dram_reads + 1;
-  let dram_writeback = ref false in
-  (* writeback of a dirty victim evicted from level [i]: dirtiness flows to
-     the next level (which holds the line by inclusion) or to DRAM *)
-  let writeback i victim =
-    t.levels.(i).stats.writebacks <- t.levels.(i).stats.writebacks + 1;
-    if i + 1 < n && probe t.levels.(i + 1) victim ~set_dirty:true then ()
-    else begin
-      t.dram_wb <- t.dram_wb + 1;
-      dram_writeback := true
-    end
-  in
+  let hit_level = ref 0 in
+  while !hit_level < n && not (probe levels.(!hit_level) line ~set_dirty:is_write) do
+    let s = levels.(!hit_level).stats in
+    s.misses <- s.misses + 1;
+    incr hit_level
+  done;
+  let hit_level = !hit_level in
+  if hit_level < n then begin
+    let s = levels.(hit_level).stats in
+    s.hits <- s.hits + 1
+  end
+  else t.dram_reads <- t.dram_reads + 1;
+  let wb = ref 0 in
   (* fill every level above the one that served the access, deepest first;
      evictions back-invalidate shallower copies to preserve inclusion *)
   for i = min hit_level n - 1 downto 0 do
-    let dirty = is_write && i = 0 in
-    match insert t.levels.(i) line ~dirty with
-    | None -> ()
-    | Some (victim, victim_dirty) ->
-      t.levels.(i).stats.evictions <- t.levels.(i).stats.evictions + 1;
-      let merged_dirty = ref victim_dirty in
+    let lvl = levels.(i) in
+    let victim = Setassoc.insert lvl.core ~set:(set_of lvl line) line ~dirty:(is_write && i = 0) in
+    if victim >= 0 then begin
+      lvl.stats.evictions <- lvl.stats.evictions + 1;
+      let dirty = ref (Setassoc.victim_dirty lvl.core) in
       for j = 0 to i - 1 do
-        if invalidate t.levels.(j) victim then merged_dirty := true
+        let up = levels.(j) in
+        if Setassoc.invalidate up.core ~set:(set_of up victim) victim then dirty := true
       done;
-      if !merged_dirty then writeback i victim
+      (* a dirty victim's data flows to the next level, which holds the
+         line by inclusion, or to DRAM *)
+      if !dirty then begin
+        lvl.stats.writebacks <- lvl.stats.writebacks + 1;
+        if not (i + 1 < n && probe levels.(i + 1) victim ~set_dirty:true) then begin
+          t.dram_wb <- t.dram_wb + 1;
+          wb := 1
+        end
+      end
+    end
   done;
-  { hit_level; dram_fill; dram_writeback = !dram_writeback }
+  (hit_level lsl 1) lor !wb
+
+let access t ~addr ~is_write =
+  let code = access_code t ~addr ~is_write in
+  let hit_level = code lsr 1 in
+  { hit_level; dram_fill = hit_level = n_levels t; dram_writeback = code land 1 = 1 }
 
 let stats t = Array.map (fun l -> l.stats) t.levels
 
@@ -163,8 +120,7 @@ let dram_writebacks t = t.dram_wb
 let reset t =
   Array.iter
     (fun l ->
-      Array.fill l.tags 0 (Array.length l.tags) (-1);
-      Array.fill l.dirty 0 (Array.length l.dirty) false;
+      Setassoc.reset l.core;
       l.stats.hits <- 0;
       l.stats.misses <- 0;
       l.stats.evictions <- 0;
@@ -173,8 +129,4 @@ let reset t =
   t.dram_reads <- 0;
   t.dram_wb <- 0
 
-let flush_writebacks t =
-  let last = t.levels.(Array.length t.levels - 1) in
-  Array.fold_left
-    (fun acc d -> if d then acc + 1 else acc)
-    0 last.dirty
+let flush_writebacks t = Setassoc.dirty_count t.levels.(Array.length t.levels - 1).core

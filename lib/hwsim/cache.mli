@@ -1,6 +1,7 @@
 (** Trace-driven, inclusive, multi-level, set-associative cache simulator.
 
-    Each level is set-associative with true LRU replacement.  The hierarchy
+    Each level is set-associative with true LRU replacement, one
+    {!Setassoc} tag array per level.  The hierarchy
     is inclusive: a fill at level [i] also fills all deeper levels; an
     eviction from a deeper level back-invalidates shallower ones.  Writes
     are write-allocate and write-back (dirty lines produce DRAM traffic on
@@ -27,6 +28,10 @@ type outcome = {
 val create : Machine.cache_geometry list -> t
 val n_levels : t -> int
 val access : t -> addr:int -> is_write:bool -> outcome
+
+val access_code : t -> addr:int -> is_write:bool -> int
+(** {!access} without the record: [hit_level lsl 1 lor dram_writeback]. *)
+
 val stats : t -> level_stats array
 val dram_reads : t -> int
 val dram_writebacks : t -> int

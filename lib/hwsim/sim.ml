@@ -288,13 +288,26 @@ let walk m prog ~param_values (pols : policy array) =
   let line_j = m.Machine.dram_nj_per_line *. 1e-9 in
   let par_threads = float_of_int m.Machine.threads in
   let w = { tf = 1.0 } in
-  let parallel_depth = ref 0 and parallel_stack = ref [] in
+  let parallel_depth = ref 0 in
   let total_flops = ref 0 and dram_event_bytes = ref 0 in
-  let on_access ~stmt:_ ~array:_ ~addr ~bytes:_ ~is_write =
-    let o = Cache.access cache ~addr ~is_write in
+  let tables = Trace.tables prog in
+  let stmts = tables.Trace.stmts and loops = tables.Trace.loops in
+  (* each policy's cap for each loop: a depth-0 loop's first matching
+     schedule entry *)
+  let caps =
+    Array.map
+      (fun p ->
+        Array.map
+          (fun (l : Trace.loop_info) ->
+            if l.Trace.l_depth = 0 then List.assoc_opt l.Trace.l_var p.p_caps else None)
+          loops)
+      pols
+  in
+  let on_access addr is_write =
+    let code = Cache.access_code cache ~addr ~is_write in
     let tf = w.tf in
-    let level = o.Cache.hit_level in
-    let hit = level < n_levels and wb = o.Cache.dram_writeback in
+    let level = code lsr 1 in
+    let hit = level < n_levels and wb = code land 1 = 1 in
     let hit_dt = if hit then hit_lat.(level) /. mlp /. tf else 0.0 in
     if not hit then dram_event_bytes := !dram_event_bytes + line;
     if wb then dram_event_bytes := !dram_event_bytes + line;
@@ -320,7 +333,7 @@ let walk m prog ~param_values (pols : policy array) =
       match p.p_uncore with `Governor -> governor_tick m p | `Fixed _ -> ()
     done
   in
-  let on_stmt ~stmt:_ ~flops =
+  let on_stmt flops =
     total_flops := !total_flops + flops;
     let tf = w.tf in
     let dt = float_of_int flops *. m.Machine.flop_ns /. tf in
@@ -328,33 +341,32 @@ let walk m prog ~param_values (pols : policy array) =
       advance m pols.(i).clk ~threads:tf dt
     done
   in
-  let on_loop_enter ~var ~depth ~parallel =
-    parallel_stack := parallel :: !parallel_stack;
-    if parallel then begin
+  let on_loop_enter k =
+    if loops.(k).Trace.l_parallel then begin
       incr parallel_depth;
       w.tf <- par_threads
     end;
-    if depth = 0 then
-      for i = 0 to n_pol - 1 do
-        let p = pols.(i) in
-        match List.assoc_opt var p.p_caps with
-        | Some f -> apply_cap m p ~threads:w.tf f
-        | None -> ()
-      done
+    for i = 0 to n_pol - 1 do
+      match caps.(i).(k) with Some f -> apply_cap m pols.(i) ~threads:w.tf f | None -> ()
+    done
   in
-  let on_loop_exit ~var:_ ~depth:_ =
-    match !parallel_stack with
-    | p :: rest ->
-      parallel_stack := rest;
-      if p then begin
-        decr parallel_depth;
-        if !parallel_depth = 0 then w.tf <- 1.0
-      end
-    | [] -> ()
+  let on_loop_exit k =
+    if loops.(k).Trace.l_parallel then begin
+      decr parallel_depth;
+      if !parallel_depth = 0 then w.tf <- 1.0
+    end
   in
-  ignore
-    (Interp.run ~compute:false prog ~param_values
-       { Interp.on_access; on_stmt; on_loop_enter; on_loop_exit });
+  let on_chunk buf len =
+    for e = 0 to len - 1 do
+      let code = Array.unsafe_get buf e in
+      let kind = code land 7 and payload = code asr 3 in
+      if kind <= Trace.ev_write then on_access payload (kind = Trace.ev_write)
+      else if kind = Trace.ev_stmt then on_stmt stmts.(payload).Trace.s_flops
+      else if kind = Trace.ev_enter then on_loop_enter payload
+      else on_loop_exit payload
+    done
+  in
+  ignore (Trace.scan prog ~param_values ~on_chunk);
   (* final dirty lines drain to DRAM, at each policy's final clock *)
   let resident_dirty = Cache.flush_writebacks cache in
   let drain_bytes = resident_dirty * line in
@@ -430,34 +442,21 @@ let run_each cfgs =
 
 (* --- multi-tenant interleaving -------------------------------------- *)
 
-(* Each tenant's trace is a coroutine that packs its events into a
-   chunk of [chunk_len] ints and performs one [Chunk_full] effect per
-   full chunk; the scheduler still hands out one event at a time, always
-   to the tenant whose local clock is furthest behind — an event-driven
-   merge of N traces over one simulated timeline.  Upper cache levels
-   are private per tenant; the LLC, the DRAM channel and the uncore clock
-   are shared, which is where the interference this simulator exists to
-   expose comes from.  The merge order depends on the tenants' clocks, so
-   unlike the single-kernel engine the cache state here depends on the
-   uncore policy: no two policies can share a walk.
+(* Each tenant's trace is a coroutine: {!Trace.scan} packs its events
+   into the tenant's chunk, and the chunk callback performs one
+   [Chunk_full] effect per chunk; the scheduler still hands out one event
+   at a time, always to the tenant whose local clock is furthest behind —
+   an event-driven merge of N traces over one simulated timeline.  Upper
+   cache levels are private per tenant; the LLC, the DRAM channel and the
+   uncore clock are shared, which is where the interference this
+   simulator exists to expose comes from.  The merge order depends on the
+   tenants' clocks, so unlike the single-kernel engine the cache state
+   here depends on the uncore policy: no two policies can share a walk.
+   Events use [Interp]'s encoding: statement events index the tenant's
+   statement table (for the flop count), loop events its loop table (for
+   the parallel flag and, at depth 0, the cap). *)
 
-   Event codes: the kind in the low 3 bits, the payload above them
-   (decoded with [asr], so it may be negative):
-   - [ev_read], [ev_write]: the byte address;
-   - [ev_flops]: the statement's flop count;
-   - [ev_enter]: [cap lsl 1 lor parallel], where [cap] is the index in
-     the tenant's cap schedule of a depth-0 loop's first matching entry
-     ([List.assoc_opt]'s rule), or -1;
-   - [ev_exit]: whether the loop being left was parallel. *)
-
-let chunk_len = 1024
-let ev_read = 0
-let ev_write = 1
-let ev_flops = 2
-let ev_enter = 3
-let ev_exit = 4
-
-type chunk = { buf : int array; mutable len : int }
+type chunk = { mutable buf : int array; mutable len : int }
 type _ Effect.t += Chunk_full : unit Effect.t
 type step = More of (unit, step) Effect.Deep.continuation | Done
 
@@ -470,34 +469,13 @@ let cap_index caps var =
 
 let start_trace (t : tenant) chunk : step =
   let open Effect.Deep in
-  let push code =
-    chunk.buf.(chunk.len) <- code;
-    chunk.len <- chunk.len + 1;
-    if chunk.len = chunk_len then Effect.perform Chunk_full
-  in
-  let parallel_stack = ref [] in
-  let cb =
-    {
-      Interp.on_access =
-        (fun ~stmt:_ ~array:_ ~addr ~bytes:_ ~is_write ->
-          push ((addr lsl 3) lor if is_write then ev_write else ev_read));
-      on_stmt = (fun ~stmt:_ ~flops -> push ((flops lsl 3) lor ev_flops));
-      on_loop_enter =
-        (fun ~var ~depth ~parallel ->
-          parallel_stack := parallel :: !parallel_stack;
-          let cap = if depth = 0 then cap_index t.t_caps var else -1 in
-          push ((((cap lsl 1) lor Bool.to_int parallel) lsl 3) lor ev_enter));
-      on_loop_exit =
-        (fun ~var:_ ~depth:_ ->
-          match !parallel_stack with
-          | p :: rest ->
-            parallel_stack := rest;
-            push ((Bool.to_int p lsl 3) lor ev_exit)
-          | [] -> push ev_exit);
-    }
+  let on_chunk buf len =
+    chunk.buf <- buf;
+    chunk.len <- len;
+    Effect.perform Chunk_full
   in
   match_with
-    (fun () -> ignore (Interp.run ~compute:false t.t_prog ~param_values:t.t_params cb))
+    (fun () -> ignore (Trace.scan t.t_prog ~param_values:t.t_params ~on_chunk))
     ()
     {
       retc = (fun () -> Done);
@@ -516,6 +494,9 @@ let addr_stride = 1 lsl 36
 type tstate = {
   s_tenant : tenant;
   s_caps : float array;  (* [t_caps]' frequencies, by [cap_index] *)
+  s_stmts : Trace.stmt_info array;
+  s_loops : Trace.loop_info array;
+  s_loop_cap : int array;  (* per loop: its [cap_index] at depth 0, else -1 *)
   s_base : int;
   s_cores : int;
   s_priv : Cache.t option;
@@ -568,10 +549,18 @@ let run_multi cfg ~solo =
     Array.of_list
       (List.mapi
          (fun i t ->
-           let chunk = { buf = Array.make chunk_len 0; len = 0 } in
+           let chunk = { buf = [||]; len = 0 } in
+           let tables = Trace.tables t.t_prog in
            {
              s_tenant = t;
              s_caps = Array.of_list (List.map snd t.t_caps);
+             s_stmts = tables.Trace.stmts;
+             s_loops = tables.Trace.loops;
+             s_loop_cap =
+               Array.map
+                 (fun (l : Trace.loop_info) ->
+                   if l.Trace.l_depth = 0 then cap_index t.t_caps l.Trace.l_var else -1)
+                 tables.Trace.loops;
              s_base = i * addr_stride;
              s_cores = (if t.t_cores > 0 then t.t_cores else fair_cores);
              s_priv =
@@ -662,12 +651,12 @@ let run_multi cfg ~solo =
     uc.gov_last_t <- gmin ();
     gov_bytes := 0
   in
+  (* [Cache.access_code]: the hit level above the writeback bit *)
   let llc_access ts ~addr ~is_write ~tfv =
-    let o = Cache.access llc ~addr ~is_write in
-    if o.Cache.hit_level < 1 then
-      advance_t m ts (hit_lat.(n_levels - 1) /. mlp /. tfv)
+    let code = Cache.access_code llc ~addr ~is_write in
+    if code lsr 1 < 1 then advance_t m ts (hit_lat.(n_levels - 1) /. mlp /. tfv)
     else dram_fill ts tfv;
-    if o.Cache.dram_writeback then dram_writeback ts
+    if code land 1 = 1 then dram_writeback ts
   in
   let handle_access ts ~addr:addr0 ~is_write =
     ts.s_accesses <- ts.s_accesses + 1;
@@ -675,29 +664,31 @@ let run_multi cfg ~solo =
     let addr = addr0 + ts.s_base in
     (match ts.s_priv with
     | Some pc ->
-      let o = Cache.access pc ~addr ~is_write in
-      if o.Cache.hit_level < n_levels - 1 then
-        advance_t m ts (hit_lat.(o.Cache.hit_level) /. mlp /. tfv)
+      let code = Cache.access_code pc ~addr ~is_write in
+      let level = code lsr 1 in
+      if level < n_levels - 1 then advance_t m ts (hit_lat.(level) /. mlp /. tfv)
       else llc_access ts ~addr ~is_write:false ~tfv;
       (* a dirty line displaced from the private hierarchy drains through
          the shared write buffer *)
-      if o.Cache.dram_writeback then dram_writeback ts
+      if code land 1 = 1 then dram_writeback ts
     | None -> llc_access ts ~addr ~is_write ~tfv);
     match cfg.uncore with `Governor -> governor_tick () | `Fixed _ -> ()
   in
   let handle_event ts code =
     let kind = code land 7 and payload = code asr 3 in
-    if kind <= ev_write then handle_access ts ~addr:payload ~is_write:(kind = ev_write)
-    else if kind = ev_flops then begin
-      ts.s_flops <- ts.s_flops + payload;
-      advance_t m ts (float_of_int payload *. m.Machine.flop_ns /. tf ts)
+    if kind <= Trace.ev_write then
+      handle_access ts ~addr:payload ~is_write:(kind = Trace.ev_write)
+    else if kind = Trace.ev_stmt then begin
+      let flops = ts.s_stmts.(payload).Trace.s_flops in
+      ts.s_flops <- ts.s_flops + flops;
+      advance_t m ts (float_of_int flops *. m.Machine.flop_ns /. tf ts)
     end
-    else if kind = ev_enter then begin
-      if payload land 1 = 1 then ts.s_pdepth <- ts.s_pdepth + 1;
-      let cap = payload asr 1 in
+    else if kind = Trace.ev_enter then begin
+      if ts.s_loops.(payload).Trace.l_parallel then ts.s_pdepth <- ts.s_pdepth + 1;
+      let cap = ts.s_loop_cap.(payload) in
       if cap >= 0 then apply_cap ts ts.s_caps.(cap)
     end
-    else if payload = 1 then ts.s_pdepth <- ts.s_pdepth - 1
+    else if ts.s_loops.(payload).Trace.l_parallel then ts.s_pdepth <- ts.s_pdepth - 1
   in
   let finish ts =
     (* the tenant's private dirty lines drain to DRAM as it retires *)

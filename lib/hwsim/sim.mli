@@ -134,7 +134,7 @@ val run_one : config -> outcome
 
 val run_each : config list -> outcome list
 (** [run_each cfgs] equals [List.map run_one cfgs], bit for bit, but
-    walks the trace once: one [Interp] run and one cache access per event
+    walks the trace once: one [Trace.scan] and one cache access per event
     serve every config.  This is exact because in the single-kernel
     engine which line hits at which level, which fill comes from DRAM
     and which victim is written back depend only on the access stream,

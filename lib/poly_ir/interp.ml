@@ -28,12 +28,59 @@ let default_init _name idx =
   (* deterministic, size-independent pattern in (0, 2] *)
   float_of_int ((idx * 16807 mod 97) + 1) /. 48.5
 
+let validated prog =
+  match Ir.validate prog with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Interp.run: " ^ m)
+
+let param_of param_values p =
+  match List.assoc_opt p param_values with
+  | Some v -> v
+  | None -> invalid_arg ("Interp: missing parameter " ^ p)
+
+let slot_in scope v =
+  match List.assoc_opt v scope with
+  | Some s -> s
+  | None -> invalid_arg ("Interp: unbound variable " ^ v)
+
+(* --- scanning mode: the callbacks, decoded from the chunks ----------- *)
+
+let decode (t : Trace.tables) cb =
+  let cur = ref { Trace.s_name = ""; s_flops = 0; s_arrays = [||]; s_bytes = [||] } in
+  let pos = ref 0 in
+  fun buf len ->
+    for e = 0 to len - 1 do
+      let code = buf.(e) in
+      let kind = code land 7 and p = code asr 3 in
+      if kind <= Trace.ev_write then begin
+        (* an access's array and size follow from its position in its
+           statement instance, so out-of-layout addresses decode too *)
+        let s = !cur and j = !pos in
+        pos := j + 1;
+        cb.on_access ~stmt:s.Trace.s_name ~array:s.Trace.s_arrays.(j) ~addr:p
+          ~bytes:s.Trace.s_bytes.(j)
+          ~is_write:(kind = Trace.ev_write)
+      end
+      else if kind = Trace.ev_stmt then begin
+        let s = t.Trace.stmts.(p) in
+        cur := s;
+        pos := 0;
+        cb.on_stmt ~stmt:s.Trace.s_name ~flops:s.Trace.s_flops
+      end
+      else begin
+        let l = t.Trace.loops.(p) in
+        if kind = Trace.ev_enter then
+          cb.on_loop_enter ~var:l.Trace.l_var ~depth:l.Trace.l_depth ~parallel:l.Trace.l_parallel
+        else cb.on_loop_exit ~var:l.Trace.l_var ~depth:l.Trace.l_depth
+      end
+    done
+
+(* --- execution mode ----------------------------------------------------- *)
+
 (* compile an affine expression into a closure over the loop-variable
    stack; variable name -> stack slot resolved at compile time *)
 let compile_aff (a : Ir.aff) ~slot_of ~param =
-  let vterms =
-    List.map (fun (v, c) -> (slot_of v, c)) a.Ir.var_coefs
-  in
+  let vterms = List.map (fun (v, c) -> (slot_of v, c)) a.Ir.var_coefs in
   let pconst =
     List.fold_left (fun acc (p, c) -> acc + (c * param p)) a.Ir.const a.Ir.param_coefs
   in
@@ -41,27 +88,18 @@ let compile_aff (a : Ir.aff) ~slot_of ~param =
   | [] -> fun _stack -> pconst
   | [ (s, c) ] -> fun stack -> (c * stack.(s)) + pconst
   | terms ->
-    fun stack ->
-      List.fold_left (fun acc (s, c) -> acc + (c * stack.(s))) pconst terms
+    fun stack -> List.fold_left (fun acc (s, c) -> acc + (c * stack.(s))) pconst terms
 
-let run ?(compute = true) ?(init = default_init) prog ~param_values cb =
-  (match Ir.validate prog with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Interp.run: " ^ m));
+let execute ~init prog ~param_values cb =
+  validated prog;
   let layout = Layout.of_program prog ~param_values in
-  let param p =
-    match List.assoc_opt p param_values with
-    | Some v -> v
-    | None -> invalid_arg ("Interp: missing parameter " ^ p)
-  in
+  let param = param_of param_values in
   let storages =
-    if not compute then []
-    else
-      List.map
-        (fun (name, (al : Layout.array_layout)) ->
-          let elems = al.Layout.size_bytes / al.Layout.decl.Ir.elem_size in
-          (name, Array.init elems (init name)))
-        layout.Layout.arrays
+    List.map
+      (fun (name, (al : Layout.array_layout)) ->
+        let elems = al.Layout.size_bytes / al.Layout.decl.Ir.elem_size in
+        (name, Array.init elems (init name)))
+      layout.Layout.arrays
   in
   let storage name =
     match List.assoc_opt name storages with
@@ -87,15 +125,10 @@ let run ?(compute = true) ?(init = default_init) prog ~param_values cb =
     fun () -> List.iter (fun f -> f ()) compiled
   and compile_item scope depth = function
     | Ir.If b ->
-      let slot_of v =
-        match List.assoc_opt v scope with
-        | Some s -> s
-        | None -> invalid_arg ("Interp: unbound variable " ^ v)
-      in
+      let slot_of = slot_in scope in
       let conds =
         List.map
-          (fun (c : Ir.cond) ->
-            (compile_aff c.Ir.cond_aff ~slot_of ~param, c.Ir.cond_eq))
+          (fun (c : Ir.cond) -> (compile_aff c.Ir.cond_aff ~slot_of ~param, c.Ir.cond_eq))
           b.Ir.conds
       in
       let then_ = compile_items scope depth b.Ir.then_ in
@@ -110,11 +143,7 @@ let run ?(compute = true) ?(init = default_init) prog ~param_values cb =
         in
         if taken then then_ () else else_ ()
     | Ir.Loop l ->
-      let slot_of v =
-        match List.assoc_opt v scope with
-        | Some s -> s
-        | None -> invalid_arg ("Interp: unbound variable " ^ v)
-      in
+      let slot_of = slot_in scope in
       let los = List.map (compile_aff ~slot_of ~param) l.Ir.lo in
       let his = List.map (compile_aff ~slot_of ~param) l.Ir.hi in
       let slot = depth in
@@ -122,9 +151,7 @@ let run ?(compute = true) ?(init = default_init) prog ~param_values cb =
       let step = l.Ir.step in
       let var = l.Ir.var and parallel = l.Ir.parallel in
       fun () ->
-        let lo =
-          List.fold_left (fun acc f -> max acc (f stack)) min_int los
-        in
+        let lo = List.fold_left (fun acc f -> max acc (f stack)) min_int los in
         let hi = List.fold_left (fun acc f -> min acc (f stack)) max_int his in
         cb.on_loop_enter ~var ~depth ~parallel;
         let i = ref lo in
@@ -135,19 +162,13 @@ let run ?(compute = true) ?(init = default_init) prog ~param_values cb =
         done;
         cb.on_loop_exit ~var ~depth
     | Ir.Stmt s ->
-      let slot_of v =
-        match List.assoc_opt v scope with
-        | Some sl -> sl
-        | None -> invalid_arg ("Interp: unbound variable " ^ v)
-      in
+      let slot_of = slot_in scope in
       let name = s.Ir.stmt_name in
       let stmt_flops = Ir.flops_of_expr s.Ir.rhs in
       (* compile an access into (element-offset closure, layout) *)
       let compile_access (a : Ir.access) =
         let al = Layout.find layout a.Ir.array in
-        let idxs =
-          Array.of_list (List.map (compile_aff ~slot_of ~param) a.Ir.indices)
-        in
+        let idxs = Array.of_list (List.map (compile_aff ~slot_of ~param) a.Ir.indices) in
         let strides = al.Layout.strides in
         let offset stack =
           let acc = ref 0 in
@@ -164,88 +185,69 @@ let run ?(compute = true) ?(init = default_init) prog ~param_values cb =
           ~addr:(al.Layout.base + (off * al.Layout.decl.Ir.elem_size))
           ~bytes:al.Layout.decl.Ir.elem_size ~is_write
       in
-      if compute then begin
-        let rec compile_expr = function
-          | Ir.Const f -> fun _ -> f
-          | Ir.Load a ->
-            let al, offset = compile_access a in
-            let arr = storage a.Ir.array in
-            fun stack ->
-              let off = offset stack in
-              emit al off false;
-              arr.(off)
-          | Ir.Bin (op, x, y) ->
-            let fx = compile_expr x and fy = compile_expr y in
-            let g =
-              match op with
-              | Ir.Add -> ( +. )
-              | Ir.Sub -> ( -. )
-              | Ir.Mul -> ( *. )
-              | Ir.Div -> ( /. )
-              | Ir.Max -> Float.max
-              | Ir.Min -> Float.min
-            in
-            (* force left-to-right evaluation so the access stream matches
-               scanning mode (OCaml applications evaluate right-to-left) *)
-            fun stack ->
-              let a = fx stack in
-              let b = fy stack in
-              g a b
-          | Ir.Neg e ->
-            let fe = compile_expr e in
-            fun stack -> -.fe stack
-          | Ir.Sqrt e ->
-            let fe = compile_expr e in
-            fun stack -> Float.sqrt (fe stack)
-          | Ir.Exp e ->
-            let fe = compile_expr e in
-            fun stack -> Float.exp (fe stack)
-        in
-        let frhs = compile_expr s.Ir.rhs in
-        let tal, toffset = compile_access s.Ir.target in
-        let tarr = storage s.Ir.target.Ir.array in
-        fun () ->
-          incr instances;
-          flops := !flops + stmt_flops;
-          cb.on_stmt ~stmt:name ~flops:stmt_flops;
-          let v = frhs stack in
-          let off = toffset stack in
-          emit tal off true;
-          tarr.(off) <- v
-      end
-      else begin
-        (* scanning mode: same access stream, no values *)
-        let reads =
-          List.filter_map
-            (function
-              | Ir.Load a -> Some (compile_access a)
-              | _ -> None)
-            (let rec loads = function
-               | Ir.Load a -> [ Ir.Load a ]
-               | Ir.Const _ -> []
-               | Ir.Bin (_, x, y) -> loads x @ loads y
-               | Ir.Neg e | Ir.Sqrt e | Ir.Exp e -> loads e
-             in
-             loads s.Ir.rhs)
-        in
-        let tal, toffset = compile_access s.Ir.target in
-        fun () ->
-          incr instances;
-          flops := !flops + stmt_flops;
-          cb.on_stmt ~stmt:name ~flops:stmt_flops;
-          List.iter (fun (al, offset) -> emit al (offset stack) false) reads;
-          emit tal (toffset stack) true
-      end
+      let rec compile_expr = function
+        | Ir.Const f -> fun _ -> f
+        | Ir.Load a ->
+          let al, offset = compile_access a in
+          let arr = storage a.Ir.array in
+          fun stack ->
+            let off = offset stack in
+            emit al off false;
+            arr.(off)
+        | Ir.Bin (op, x, y) ->
+          let fx = compile_expr x and fy = compile_expr y in
+          let g =
+            match op with
+            | Ir.Add -> ( +. )
+            | Ir.Sub -> ( -. )
+            | Ir.Mul -> ( *. )
+            | Ir.Div -> ( /. )
+            | Ir.Max -> Float.max
+            | Ir.Min -> Float.min
+          in
+          (* force left-to-right evaluation so the access stream matches
+             scanning mode (OCaml applications evaluate right-to-left) *)
+          fun stack ->
+            let a = fx stack in
+            let b = fy stack in
+            g a b
+        | Ir.Neg e ->
+          let fe = compile_expr e in
+          fun stack -> -.fe stack
+        | Ir.Sqrt e ->
+          let fe = compile_expr e in
+          fun stack -> Float.sqrt (fe stack)
+        | Ir.Exp e ->
+          let fe = compile_expr e in
+          fun stack -> Float.exp (fe stack)
+      in
+      let frhs = compile_expr s.Ir.rhs in
+      let tal, toffset = compile_access s.Ir.target in
+      let tarr = storage s.Ir.target.Ir.array in
+      fun () ->
+        incr instances;
+        flops := !flops + stmt_flops;
+        cb.on_stmt ~stmt:name ~flops:stmt_flops;
+        let v = frhs stack in
+        let off = toffset stack in
+        emit tal off true;
+        tarr.(off) <- v
   in
   let main = compile_items [] 0 prog.Ir.body in
   main ();
-  {
-    layout;
-    values = storages;
-    instances = !instances;
-    flops = !flops;
-    accesses = !accesses;
-  }
+  { layout; values = storages; instances = !instances; flops = !flops; accesses = !accesses }
+
+let run ?(compute = true) ?(init = default_init) prog ~param_values cb =
+  if compute then execute ~init prog ~param_values cb
+  else
+    let s = Trace.scan prog ~param_values ~on_chunk:(decode (Trace.tables prog) cb) in
+    {
+      layout = s.Trace.layout;
+      values = [];
+      instances = s.Trace.instances;
+      flops = s.Trace.flops;
+      accesses = s.Trace.accesses;
+    }
 
 let array_value r name idx =
   let al = Layout.find r.layout name in

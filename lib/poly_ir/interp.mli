@@ -1,14 +1,13 @@
-(** Reference interpreter / instance enumerator for the loop AST.
+(** Reference interpreter for the loop AST, with callbacks.
 
     Two uses:
-    - {e static scanning} ([compute:false]): walk every statement instance
-      in schedule order and report its memory accesses — this is the
-      enumeration backend of PolyUFC-CM (the counting step the paper
-      delegates to barvinok happens over exactly this instance stream);
-    - {e execution} ([compute:true], the default): additionally allocate
-      the arrays and evaluate statement right-hand sides, providing
-      reference results and the address trace consumed by the hardware
-      simulator.
+    - {e static scanning} ([run ~compute:false]): every statement instance
+      in schedule order with its memory accesses, decoded into {!callbacks}
+      from {!Trace.scan}'s chunks — the trace PolyUFC-CM and the hardware
+      simulator read directly;
+    - {e execution} ([run ~compute:true], the default): additionally
+      allocate the arrays and evaluate statement right-hand sides,
+      providing reference results.
 
     Loop variables follow the AST order; [parallel] loops are executed
     sequentially (the simulator and the cache model apply the paper's
@@ -44,7 +43,10 @@ val run :
   callbacks ->
   result
 (** [init array_name linear_index] provides initial element values
-    (default: a deterministic pseudo-random pattern). *)
+    (default: a deterministic pseudo-random pattern).  With
+    [~compute:false] this is {!Trace.scan} with its chunks decoded into
+    the callbacks; an access's array and size follow from its position in
+    its statement instance, so addresses outside the layout decode too. *)
 
 val array_value : result -> string -> int array -> float
 (** Element of a result array by index vector. *)

@@ -63,7 +63,7 @@ let mark_parallel item =
   | Ir.Loop l -> Ir.Loop { l with Ir.parallel = true }
   | i -> i
 
-let version = 1
+let version = 2
 let default_legality_sizes = [ 6; 9 ]
 
 let plan ?(legality_sizes = default_legality_sizes) prog =
@@ -89,13 +89,18 @@ let plan ?(legality_sizes = default_legality_sizes) prog =
         in
         (* hoisting tile loops above the band requires the band's bounds
            to be free of loop variables (rectangular band); triangular
-           bands are left to the point loops *)
+           bands are left to the point loops.  A strided loop ends the
+           band too: its point loop would need [max(tile, lo)] as a lower
+           bound, which a strided loop cannot take *)
         let rect_prefix =
           let rec go = function
             | [] -> 0
             | (l : Ir.loop) :: rest ->
               let no_vars a = a.Ir.var_coefs = [] in
-              if List.for_all no_vars l.Ir.lo && List.for_all no_vars l.Ir.hi
+              if
+                l.Ir.step = 1
+                && List.for_all no_vars l.Ir.lo
+                && List.for_all no_vars l.Ir.hi
               then 1 + go rest
               else 0
           in

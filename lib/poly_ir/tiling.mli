@@ -8,8 +8,9 @@
     Legality is the standard condition: a band of loops may be tiled iff
     every dependence distance is non-negative in each band dimension (full
     permutability).  Bands that fail shrink to their largest permutable
-    prefix; bands of length < 2 are left untiled (tiling a single loop has
-    no locality benefit).
+    prefix; a band ends above its first triangular or strided loop; bands
+    of length < 2 are left untiled (tiling a single loop has no locality
+    benefit).
 
     Assumption (satisfied by all paper benchmarks): loop lower bounds are
     non-negative, so tile loops may start at 0. *)

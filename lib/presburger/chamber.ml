@@ -9,7 +9,9 @@
    Fourier-Motzkin projection; shapes whose walls involve inner
    counting variables either still validate on each chamber (the count
    happens to stay quasi-polynomial) or fail validation and bail to the
-   exact-scan path.  Soundness never depends on the heuristic. *)
+   exact-scan path.  Validation, not the heuristic, carries soundness, as
+   far as a finite check of sample and corner points reaches (see
+   [boundary_ok]). *)
 
 module Q = Linalg.Q
 module Ints = Linalg.Ints
@@ -165,9 +167,11 @@ let of_json j =
 
 let cache_key key_str =
   (* v2: fits bounded by the vertex period (entries stored before it may
-     carry an under-estimated period) *)
+     carry an under-estimated period); v3: fits validated on the whole
+     corner of their chamber (entries stored before it may carry a fit
+     that is wrong there) *)
   Engine.Rcache.key
-    [ ("kind", "polyufc-symbolic-chambers"); ("v", "2"); ("set", key_str) ]
+    [ ("kind", "polyufc-symbolic-chambers"); ("v", "3"); ("set", key_str) ]
 
 let cache_find ctx key_str =
   match Ctx.cache ctx with
@@ -373,11 +377,18 @@ let anchor_of tight =
   | Some p when Array.for_all (fun x -> abs x <= 100_000) p -> Some p
   | _ -> None
 
-(* validate the fitted form on the chamber's boundary: the fit samples
+(* validate the fitted form on the chamber's corner: the fit samples
    live in a box interior to the guard, but evaluation happens on the
-   whole (closed) chamber *)
+   whole (closed) chamber, and a wall the heuristic missed splits it.
+   Such walls come from constraints that stop binding as the parameters
+   grow, so they cut the chamber near its small corner: every integer
+   point of the guard within [radius] of its small point is checked
+   (17, 49 and 27 points at most for one, two and three parameters).
+   A finite check, not a proof: a missed wall far from the corner still
+   escapes it. *)
 let boundary_ok ~f guard q =
   let np = Poly.nvar guard in
+  let radius = match np with 1 -> 8 | 2 -> 3 | _ -> 1 in
   let check w =
     match Qpoly.eval q w with
     | v -> v = f w
@@ -387,16 +398,16 @@ let boundary_ok ~f guard q =
   match small_point guard with
   | None -> true
   | Some w ->
-      check w
-      && (let ok = ref true in
-          for i = 0 to np - 1 do
-            if !ok then begin
-              let w' = Array.copy w in
-              w'.(i) <- w'.(i) + 1;
-              if Poly.mem guard w' then ok := check w'
-            end
-          done;
-          !ok)
+    let box =
+      List.concat
+        (List.init np (fun i ->
+             let lo = Array.make np 0 and hi = Array.make np 0 in
+             lo.(i) <- 1;
+             hi.(i) <- -1;
+             [ Poly.ge lo (radius - w.(i)); Poly.ge hi (w.(i) + radius) ]))
+    in
+    Poly.fold_points (Poly.add_constraints guard box) ~init:true ~f:(fun ok v ->
+        ok && check (Array.copy v))
 
 (* A bound on the period of every chamber's count: the vertices of the
    parametric polytope solve m of its constraints for the counting

@@ -1,8 +1,9 @@
 (* Test-only oracle for PolyUFC-CM: the per-access classifier that
    {!Cache_model.Model.analyze} replaced — a Hashtbl-indexed {!Lru} per
    set, a Hashtbl of lines already seen and the statement name hashed on
-   every access — kept verbatim apart from its telemetry, so the flat
-   core can be diffed against it field for field. *)
+   every access, fed by the closure interpreter ({!Interp_oracle}) —
+   kept verbatim apart from its telemetry, so the flat core can be
+   diffed against it field for field. *)
 
 open Cache_model
 open Poly_ir
@@ -157,7 +158,7 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
           ss.ss_flops <- ss.ss_flops + flops);
     }
   in
-  let res = Interp.run ~compute:false prog ~param_values cb in
+  let res = Interp_oracle.run ~compute:false prog ~param_values cb in
   if governed then Engine.Ctx.spend ctx !gov_pending;
   let counts =
     Array.mapi

@@ -1,8 +1,10 @@
 (* The simulator's replaced engines, kept as a test-only oracle for the
-   [sim_oracle] suite: the single-kernel walk with one [Interp] run, one
-   cache and one closure-and-ref integrator per policy, and the
+   [sim_oracle] suite: the single-kernel walk with one interpreter run,
+   one cache and one closure-and-ref integrator per policy, and the
    multi-tenant interleaver that performs one effect per trace event.
-   Verbatim but for telemetry, which the oracle does not report. *)
+   Verbatim but for telemetry, which the oracle does not report, and for
+   running on the other oracles: the closure interpreter
+   ({!Interp_oracle}) and the pre-[Setassoc] cache ({!Cache_oracle}). *)
 
 open Poly_ir
 open Hwsim
@@ -17,7 +19,7 @@ let clamp lo hi x = Float.max lo (Float.min hi x)
 let run_single ~machine ~uncore ~caps ~governor_interval_us prog
     ~param_values =
   let m = machine in
-  let cache = Cache.create m.Machine.caches in
+  let cache = Cache_oracle.create m.Machine.caches in
   let line = Machine.line_bytes m in
   let hit_lat =
     Array.of_list (List.map (fun g -> g.Machine.hit_latency_ns) m.Machine.caches)
@@ -104,7 +106,7 @@ let run_single ~machine ~uncore ~caps ~governor_interval_us prog
     if !parallel_depth > 0 then float_of_int m.Machine.threads else 1.0
   in
   let on_access ~stmt:_ ~array:_ ~addr ~bytes:_ ~is_write =
-    let o = Cache.access cache ~addr ~is_write in
+    let o = Cache_oracle.access cache ~addr ~is_write in
     let tf = thread_factor () in
     if o.Cache.hit_level < n_levels then
       advance (hit_lat.(o.Cache.hit_level) /. m.Machine.mlp /. tf)
@@ -159,9 +161,9 @@ let run_single ~machine ~uncore ~caps ~governor_interval_us prog
           | [] -> ());
     }
   in
-  let _res = Interp.run ~compute:false prog ~param_values cb in
+  let _res = Interp_oracle.run ~compute:false prog ~param_values cb in
   (* final dirty lines drain to DRAM *)
-  let resident_dirty = Cache.flush_writebacks cache in
+  let resident_dirty = Cache_oracle.flush_writebacks cache in
   let drain_bytes = resident_dirty * line in
   let bw_t = float_of_int drain_bytes /. Machine.dram_bw_gbps m ~f_u:!f_u in
   advance (bw_t *. 0.5);
@@ -170,7 +172,7 @@ let run_single ~machine ~uncore ~caps ~governor_interval_us prog
   let time_s = !time_ns *. 1e-9 in
   let static_j = m.Machine.p_static_w *. time_s in
   let energy_j = !core_j +. !uncore_j +. !dram_j +. static_j in
-  let dram_lines = Cache.dram_reads cache in
+  let dram_lines = Cache_oracle.dram_reads cache in
   {
     time_s;
     energy_j;
@@ -183,7 +185,7 @@ let run_single ~machine ~uncore ~caps ~governor_interval_us prog
     flops = !total_flops;
     dram_lines;
     dram_bytes = !dram_event_bytes;
-    cache_stats = Cache.stats cache;
+    cache_stats = Cache_oracle.stats cache;
     cap_switches = !cap_switches;
     achieved_gflops =
       (if time_s > 0.0 then float_of_int !total_flops /. time_s /. 1e9 else 0.0);
@@ -231,7 +233,7 @@ let start_trace prog ~param_values : step =
     }
   in
   match_with
-    (fun () -> ignore (Interp.run ~compute:false prog ~param_values cb))
+    (fun () -> ignore (Interp_oracle.run ~compute:false prog ~param_values cb))
     ()
     {
       retc = (fun () -> Finished);
@@ -254,7 +256,7 @@ type tstate = {
   s_tenant : tenant;
   s_base : int;
   s_cores : int;
-  s_priv : Cache.t option;
+  s_priv : Cache_oracle.t option;
   mutable s_next : step;
   mutable s_time : float; (* local clock, ns *)
   mutable s_pdepth : int;
@@ -276,7 +278,7 @@ let run_multi cfg ~solo =
   let n_levels = Array.length geoms in
   let hit_lat = Array.map (fun g -> g.Machine.hit_latency_ns) geoms in
   let priv_geoms = Array.to_list (Array.sub geoms 0 (n_levels - 1)) in
-  let llc = Cache.create [ geoms.(n_levels - 1) ] in
+  let llc = Cache_oracle.create [ geoms.(n_levels - 1) ] in
   let fair_cores = max 1 (m.Machine.threads / n) in
   let states =
     Array.of_list
@@ -287,7 +289,7 @@ let run_multi cfg ~solo =
              s_base = i * addr_stride;
              s_cores = (if t.t_cores > 0 then t.t_cores else fair_cores);
              s_priv =
-               (if priv_geoms = [] then None else Some (Cache.create priv_geoms));
+               (if priv_geoms = [] then None else Some (Cache_oracle.create priv_geoms));
              s_next = start_trace t.t_prog ~param_values:t.t_params;
              s_time = 0.0;
              s_pdepth = 0;
@@ -409,7 +411,7 @@ let run_multi cfg ~solo =
     gov_bytes := 0
   in
   let llc_access ts ~addr ~is_write ~tfv =
-    let o = Cache.access llc ~addr ~is_write in
+    let o = Cache_oracle.access llc ~addr ~is_write in
     if o.Cache.hit_level < 1 then
       advance_t ts (hit_lat.(n_levels - 1) /. m.Machine.mlp /. tfv)
     else dram_fill ts tfv;
@@ -421,7 +423,7 @@ let run_multi cfg ~solo =
     let addr = addr0 + ts.s_base in
     (match ts.s_priv with
     | Some pc ->
-      let o = Cache.access pc ~addr ~is_write in
+      let o = Cache_oracle.access pc ~addr ~is_write in
       if o.Cache.hit_level < n_levels - 1 then
         advance_t ts (hit_lat.(o.Cache.hit_level) /. m.Machine.mlp /. tfv)
       else llc_access ts ~addr ~is_write:false ~tfv;
@@ -454,7 +456,7 @@ let run_multi cfg ~solo =
     (* the tenant's private dirty lines drain to DRAM as it retires *)
     (match ts.s_priv with
     | Some pc ->
-      let dirty = Cache.flush_writebacks pc in
+      let dirty = Cache_oracle.flush_writebacks pc in
       if dirty > 0 then begin
         let bytes = dirty * line in
         let bw_t = float_of_int bytes /. shared_bw () in
@@ -487,7 +489,7 @@ let run_multi cfg ~solo =
       ts.s_next <- Effect.Deep.continue k ()
   done;
   (* drain the shared LLC's resident dirty lines at the final clock *)
-  let llc_dirty = Cache.flush_writebacks llc in
+  let llc_dirty = Cache_oracle.flush_writebacks llc in
   let drain_bytes = llc_dirty * line in
   let drain_ns =
     float_of_int drain_bytes /. Machine.dram_bw_gbps m ~f_u:!f_u *. 0.5
@@ -518,14 +520,14 @@ let run_multi cfg ~solo =
   in
   let cache_stats =
     Array.init n_levels (fun i ->
-        if i = n_levels - 1 then (Cache.stats llc).(0)
+        if i = n_levels - 1 then (Cache_oracle.stats llc).(0)
         else
           Array.fold_left
             (fun (acc : Cache.level_stats) ts ->
               match ts.s_priv with
               | None -> acc
               | Some pc ->
-                let s = (Cache.stats pc).(i) in
+                let s = (Cache_oracle.stats pc).(i) in
                 {
                   Cache.hits = acc.Cache.hits + s.Cache.hits;
                   misses = acc.Cache.misses + s.Cache.misses;

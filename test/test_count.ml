@@ -414,6 +414,37 @@ let hull_props =
         = List.length (Poly.constraints h));
   ]
 
+(* A constraint that stops binding once x0 + 2x1 >= 4 (the x's are
+   non-negative) puts a wall through the chamber's corner that the wall
+   heuristic misses; a fit from the interior box used to count 150 for
+   147 at (0, 1).  The decomposition must now count the whole grid
+   exactly, or be declined (the exact scan then counts). *)
+let test_chamber_corner_wall () =
+  let ge l c = Poly.ge (Array.of_list l) c in
+  let poly =
+    Poly.make 5
+      [
+        ge [ 2; 0; 0; 0; -1 ] 4; ge [ 2; 0; -1; 0; 0 ] 4; ge [ 0; 2; 0; -1; 0 ] 3;
+        ge [ 1; 0; 1; 1; 1 ] 4; ge [ 0; 0; 0; 0; 1 ] 0; ge [ 0; 0; 0; 1; 0 ] 0;
+        ge [ 0; 0; 1; 0; 0 ] 0; ge [ 1; 2; 2; 1; 1 ] (-4);
+      ]
+  in
+  let b = Bset.of_poly (param_space 2 3) ~n_div:0 poly in
+  Chamber.clear_memo ();
+  let ch = Count.card_param b in
+  for p0 = -2 to 7 do
+    for p1 = -2 to 7 do
+      let v = [| p0; p1 |] in
+      let exact = Bset.cardinality (Bset.fix_params b v) in
+      Option.iter
+        (fun ch ->
+          Alcotest.(check int) (Printf.sprintf "chamber eval at %d,%d" p0 p1) exact
+            (Chamber.eval ch v))
+        ch;
+      Alcotest.(check int) (Printf.sprintf "card_at %d,%d" p0 p1) exact (Count.card_at b v)
+    done
+  done
+
 let qcheck_param =
   [
     QCheck.Test.make
@@ -585,6 +616,8 @@ let tests =
       test_chamber_counters;
     Alcotest.test_case "chamber period divides the vertex denominators" `Quick
       test_chamber_period_bound;
+    Alcotest.test_case "chamber fit exact on its corner (or declined)" `Quick
+      test_chamber_corner_wall;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~verbose:false)

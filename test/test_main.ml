@@ -14,6 +14,7 @@ let () =
       ("cache_model", Test_cache_model.tests);
       ("cm_oracle", Test_cm_oracle.tests);
       ("sim_oracle", Test_sim_oracle.tests);
+      ("interp_oracle", Test_interp_oracle.tests);
       ("roofline", Test_roofline.tests);
       ("perfmodel", Test_perfmodel.tests);
       ("core", Test_core.tests);

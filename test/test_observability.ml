@@ -244,9 +244,83 @@ let test_no_dump_on_budget_exhaustion () =
   Alcotest.(check int) "crash dir stays empty" 0
     (Array.length (Sys.readdir dir))
 
+(* ---------- per-layer spans and counters of one request ---------- *)
+
+module Core = Polyufc_core
+
+(* the document [analyze --stats] writes, for a cold analyze *)
+let cold_analyze_stats () =
+  T.reset ();
+  T.enable ();
+  Core.Analysis_cache.clear_tile_memo ();
+  Fun.protect
+    ~finally:(fun () ->
+      T.disable ();
+      T.reset ())
+    (fun () ->
+      ignore
+        (Core.Pipeline.execute ~ctx:Engine.Ctx.none
+           (Core.Request.make
+              (Core.Request.Analyze
+                 { Core.Request.program = Core.Request.Workload "gemm"; sizes = [ ("n", 16) ] })));
+      T.stats_json ())
+
+let test_analyze_layers () =
+  let doc = cold_analyze_stats () in
+  let section k = match J.member k doc with Some v -> v | None -> Alcotest.failf "no %s" k in
+  List.iter
+    (fun span ->
+      Alcotest.(check bool) ("span " ^ span) true (J.member span (section "spans") <> None))
+    [ Core.Flow.phase_pluto; Core.Flow.phase_cm ];
+  let counter k =
+    match J.member k (section "counters") with
+    | Some (J.Int n) -> n
+    | _ -> Alcotest.failf "no counter %s" k
+  in
+  (* one walk: the producer's bulk report equals the model's *)
+  Alcotest.(check int) "interp.accesses = cache_model.accesses"
+    (counter "cache_model.accesses") (counter "interp.accesses");
+  Alcotest.(check bool) "interp.chunks > 0" true (counter "interp.chunks" > 0)
+
+(* the empty-domain check is memoized per program and sizes; its counter
+   ticks alike on a cold and a warm compile *)
+let test_empty_domains_tick () =
+  let prog =
+    Polylang.parse
+      {|
+program dead(n, m) {
+  arrays { A[n] : f64; B[n] : f64; }
+  for (i = 0; i < n; i++) { A[i] = A[i] + 1.0; }
+  for (j = 0; j < m; j++) { B[j] = 2.0; }
+}
+|}
+  in
+  let rooflines = Lazy.force Test_support.bdw_rooflines in
+  let ticks sizes =
+    T.reset ();
+    T.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        T.disable ();
+        T.reset ())
+      (fun () ->
+        ignore
+          (Core.Flow.compile ~machine:Hwsim.Machine.bdw ~rooflines prog
+             ~param_values:sizes);
+        T.counter_value "flow.empty_stmt_domains")
+  in
+  Core.Analysis_cache.clear_tile_memo ();
+  let dead = [ ("n", 16); ("m", 0) ] and live = [ ("n", 16); ("m", 4) ] in
+  Alcotest.(check (list int)) "cold, warm, new sizes, warm again" [ 1; 1; 0; 0; 1 ]
+    [ ticks dead; ticks dead; ticks live; ticks live; ticks (List.rev dead) ]
+
 let tests =
   [
     Alcotest.test_case "event envelope" `Quick test_event_envelope;
+    Alcotest.test_case "cold analyze: pluto and CM spans, interp counters" `Quick
+      test_analyze_layers;
+    Alcotest.test_case "empty-domain count: warm ticks as cold" `Quick
+      test_empty_domains_tick;
     Alcotest.test_case "JSON-lines sink, concurrent pool writers" `Quick
       test_jsonlines_concurrent_pool;
     Alcotest.test_case "level filter + flight-recorder ring" `Quick

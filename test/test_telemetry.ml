@@ -510,6 +510,9 @@ let test_flow_timing_consistent_with_spans () =
 
 let test_pipeline_counters_nonzero () =
   with_fresh_telemetry @@ fun () ->
+  (* a cold compile: a warm one answers its empty-domain check from the
+     memo, with no presburger.is_empty *)
+  Polyufc_core.Analysis_cache.clear_tile_memo ();
   let c = compile_tiny () in
   let e =
     Flow.evaluate ~machine:Hwsim.Machine.bdw c ~param_values:[ ("n", 40) ]
