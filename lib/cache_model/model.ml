@@ -88,7 +88,7 @@ let make_level mode ~footprint (geom : Hwsim.Machine.cache_geometry) =
 
 (* touch [line] in set [set] with {!Lru.touch}'s semantics: [true] on a
    hit; an address below the layout gives a negative set, which
-   set-associative mode rejects *)
+   set-associative mode rejects ([analyze_gov] names the access) *)
 let[@inline] touch st set line =
   match st.resident with
   | Tags tags -> Hwsim.Setassoc.touch tags ~set line
@@ -349,8 +349,7 @@ let analyze_approx ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
   let count_ctx () =
     {
       ctx with
-      Engine.Ctx.cache = None;
-      budget = Some (Engine.Budget.create ~fuel:estimate_fuel ());
+      Engine.Ctx.budget = Some (Engine.Budget.create ~fuel:estimate_fuel ());
     }
   in
   let gov_card b = fst (Count.card_gov ~ctx:(count_ctx ()) b) in
@@ -634,16 +633,51 @@ let analyze_approx ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
     fidelity = Engine.Fidelity.Degraded;
   }
 
-let analyze_gov ?(ctx = Engine.Ctx.none) ?mode ?apply_thread_heuristic
-    ?set_sampling ~machine prog ~param_values =
+(* [analyze]'s tag array rejects an address below the layout with a bare
+   [Invalid_argument]: re-walk the trace up to the first such access and
+   name it (the walk stops where [analyze] did); any other error is
+   re-raised as it came *)
+let name_below_layout prog ~param_values exn =
+  let tables = Trace.tables prog in
+  let k = ref (-1) and nth = ref 0 in
+  let on_chunk buf len =
+    for e = 0 to len - 1 do
+      let code = buf.(e) in
+      let kind = code land 7 in
+      if kind = Trace.ev_stmt then begin
+        k := code asr 3;
+        nth := 0
+      end
+      else if kind <= Trace.ev_write then begin
+        if code asr 3 < 0 then begin
+          let s = tables.Trace.stmts.(!k) in
+          invalid_arg
+            (Printf.sprintf
+               "statement %s %s array %s at byte address %d, below the \
+                layout (an index out of the array's bounds)"
+               s.Trace.s_name
+               (if kind = Trace.ev_write then "writes" else "reads")
+               s.Trace.s_arrays.(!nth) (code asr 3))
+        end;
+        incr nth
+      end
+    done
+  in
+  ignore (Trace.scan prog ~param_values ~on_chunk);
+  raise exn
+
+let analyze_gov ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
+    ?apply_thread_heuristic ?set_sampling ~machine prog ~param_values =
   match
-    analyze ~ctx ?mode ?apply_thread_heuristic ?set_sampling ~machine prog
+    analyze ~ctx ~mode ?apply_thread_heuristic ?set_sampling ~machine prog
       ~param_values
   with
   | r -> r
   | exception Engine.Budget.Exhausted _ when Engine.Ctx.degrade_allowed ctx ->
-    analyze_approx ~ctx ?mode ?apply_thread_heuristic ~machine prog
+    analyze_approx ~ctx ~mode ?apply_thread_heuristic ~machine prog
       ~param_values
+  | exception (Invalid_argument _ as exn) when mode = Set_associative ->
+    name_below_layout prog ~param_values exn
 
 let cold_misses_symbolic ?(ctx = Engine.Ctx.none) ~machine ~level prog =
   match prog.Ir.params with
@@ -653,7 +687,7 @@ let cold_misses_symbolic ?(ctx = Engine.Ctx.none) ~machine ~level prog =
     Count.interpolate ~ctx
       ~count:(fun n ->
         let r =
-          analyze ~ctx:{ ctx with Engine.Ctx.pool = None; cache = None }
+          analyze ~ctx:{ ctx with Engine.Ctx.pool = None }
             ~machine ~apply_thread_heuristic:false prog
             ~param_values:[ (p, n) ]
         in

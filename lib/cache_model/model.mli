@@ -132,7 +132,10 @@ val analyze_gov :
   result
 (** Governed analysis: {!analyze} under [ctx]; on budget exhaustion with
     a degradation policy of [Interp], falls back to {!analyze_approx}.
-    With [degrade = Off] the exception propagates. *)
+    With [degrade = Off] the exception propagates.  An access below the
+    layout, which set-associative {!analyze} rejects with a bare
+    [Invalid_argument "index out of bounds"], raises [Invalid_argument]
+    naming its statement, array and byte address instead. *)
 
 val total_misses : level_counts -> int
 

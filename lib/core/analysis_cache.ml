@@ -124,18 +124,8 @@ let cm_to_json (r : M.result) =
 
 (* --- decode --- *)
 
-exception Bad_shape
-
-let get k j = match J.member k j with Some v -> v | None -> raise Bad_shape
-let int_of = function J.Int i -> i | _ -> raise Bad_shape
-let str_of = function J.Str s -> s | _ -> raise Bad_shape
-
-let flt_of j =
-  match J.float_of_hex j with Some f -> f | None -> raise Bad_shape
-
-let arr_of = function J.Arr l -> l | _ -> raise Bad_shape
-
 let level_of_json j =
+  let open J in
   {
     M.level_name = str_of (get "name" j);
     presented = int_of (get "presented" j);
@@ -145,41 +135,39 @@ let level_of_json j =
     demand_hits = int_of (get "demand_hits" j);
   }
 
-let cm_of_json ~machine ~mode j =
-  match
-    {
-      M.machine;
-      mode;
-      levels = Array.of_list (List.map level_of_json (arr_of (get "levels" j)));
-      per_stmt =
-        List.map
-          (fun sj ->
-            ( str_of (get "stmt" sj),
-              {
-                M.stmt_levels =
-                  Array.of_list
-                    (List.map level_of_json (arr_of (get "levels" sj)));
-                stmt_flops = int_of (get "flops" sj);
-                stmt_oi = flt_of (get "oi" sj);
-              } ))
-          (arr_of (get "per_stmt" j));
-      threads_divisor = int_of (get "threads_divisor" j);
-      miss_llc = flt_of (get "miss_llc" j);
-      q_dram_bytes = flt_of (get "q_dram_bytes" j);
-      flops = int_of (get "flops" j);
-      oi = flt_of (get "oi" j);
-      hit_ratios =
-        Array.of_list (List.map flt_of (arr_of (get "hit_ratios" j)));
-      miss_ratios =
-        Array.of_list (List.map flt_of (arr_of (get "miss_ratios" j)));
-      fidelity =
-        (match Engine.Fidelity.of_string (str_of (get "fidelity" j)) with
-        | Some f -> f
-        | None -> raise Bad_shape);
-    }
-  with
-  | r -> Some r
-  | exception Bad_shape -> None
+let cm_of_json ~machine ~mode =
+  J.decode @@ fun j ->
+  let open J in
+  {
+    M.machine;
+    mode;
+    levels = Array.of_list (List.map level_of_json (arr_of (get "levels" j)));
+    per_stmt =
+      List.map
+        (fun sj ->
+          ( str_of (get "stmt" sj),
+            {
+              M.stmt_levels =
+                Array.of_list
+                  (List.map level_of_json (arr_of (get "levels" sj)));
+              stmt_flops = int_of (get "flops" sj);
+              stmt_oi = flt_of (get "oi" sj);
+            } ))
+        (arr_of (get "per_stmt" j));
+    threads_divisor = int_of (get "threads_divisor" j);
+    miss_llc = flt_of (get "miss_llc" j);
+    q_dram_bytes = flt_of (get "q_dram_bytes" j);
+    flops = int_of (get "flops" j);
+    oi = flt_of (get "oi" j);
+    hit_ratios =
+      Array.of_list (List.map flt_of (arr_of (get "hit_ratios" j)));
+    miss_ratios =
+      Array.of_list (List.map flt_of (arr_of (get "miss_ratios" j)));
+    fidelity =
+      (match Engine.Fidelity.of_string (str_of (get "fidelity" j)) with
+      | Some f -> f
+      | None -> raise Bad_shape);
+  }
 
 (* ---- tiling: a process-wide memo in front of tiling/v1 plans ----
 
@@ -254,21 +242,18 @@ let plan_to_json plan =
            ])
        plan)
 
-let plan_of_json j =
-  let bool_of = function J.Bool b -> b | _ -> raise Bad_shape in
-  match
-    List.map
-      (fun n ->
-        {
-          T.nest_root = str_of (get "root" n);
-          band = int_of (get "band" n);
-          parallel = bool_of (get "parallel" n);
-          n_deps = int_of (get "deps" n);
-        })
-      (arr_of j)
-  with
-  | plan -> Some plan
-  | exception Bad_shape -> None
+let plan_of_json =
+  J.decode @@ fun j ->
+  let open J in
+  List.map
+    (fun n ->
+      {
+        T.nest_root = str_of (get "root" n);
+        band = int_of (get "band" n);
+        parallel = bool_of (get "parallel" n);
+        n_deps = int_of (get "deps" n);
+      })
+    (arr_of j)
 
 let tiled_along ~tile_size prog plan =
   let program = T.apply ~tile_size prog plan in
@@ -380,18 +365,6 @@ let empty_stmt_domains ~ctx prog ~param_values =
 let analyze ~ctx ~isl ~mode ~apply_thread_heuristic ~machine prog
     ~param_values =
   let compute () =
-    (* Warm the chamber memo — and, when the context carries a result
-       cache, the symbolic/v1 tier — before the model runs: a parametric
-       domain decomposed here answers every later counting query at any
-       parameter values in O(1), and across processes via the cache.
-       Domains the chamber engine declines cost one gate check each. *)
-    (try
-       let scop = Poly_ir.Scop.extract prog in
-       List.iter
-         (fun (info : Poly_ir.Scop.stmt_info) ->
-           ignore (Presburger.Count.card_param ~ctx info.Poly_ir.Scop.domain))
-         scop.Poly_ir.Scop.stmt_infos
-     with Engine.Budget.Exhausted _ | Invalid_argument _ -> ());
     (* Self-healing: losing pool jobs inside the counting fan-outs would
        silently skew the cache-model numbers, so when the supervised pool
        gives up on a job we redo the whole analysis inline (exact, just

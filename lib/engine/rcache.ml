@@ -282,13 +282,11 @@ end
    [kind_numeric]; the other kinds are tagged so `cache stats` can report
    them separately. *)
 let kind_numeric = "numeric/v2"
-let kind_symbolic = "symbolic/v1"
 let kind_roofline = "roofline/v1"
 let kind_sim = "sim/v1"
 let kind_tiling = "tiling/v1"
 
-let kinds =
-  [ kind_numeric; kind_symbolic; kind_roofline; kind_sim; kind_tiling ]
+let kinds = [ kind_numeric; kind_roofline; kind_sim; kind_tiling ]
 
 type ixent = {
   mutable x_kind : string;

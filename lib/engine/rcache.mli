@@ -147,11 +147,6 @@ val stats : t -> stats
 val kind_numeric : string
 (** ["numeric/v2"]: the implicit kind of untagged analysis entries. *)
 
-val kind_symbolic : string
-(** ["symbolic/v1"]: chamber-decomposition entries ({!Presburger.Chamber});
-    checksummed exactly like numeric entries and subject to the same
-    quarantine machinery. *)
-
 val kind_roofline : string
 (** ["roofline/v1"]: a machine's fitted roofline constants
     ([Roofline.for_machine]), keyed on the machine fingerprint and the

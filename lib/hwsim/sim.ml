@@ -908,49 +908,38 @@ let outcome_to_json o =
       ("achieved_bw_gbps", f o.achieved_bw_gbps);
     ]
 
-exception Bad_shape
-
-let outcome_of_json j =
-  let get k = match J.member k j with Some v -> v | None -> raise Bad_shape in
-  let flt v =
-    match J.float_of_hex v with Some x -> x | None -> raise Bad_shape
-  in
-  let int = function J.Int n -> n | _ -> raise Bad_shape in
-  let f k = flt (get k) and i k = int (get k) in
-  match
-    {
-      time_s = f "time_s";
-      energy_j = f "energy_j";
-      edp = f "edp";
-      avg_power_w = f "avg_power_w";
-      avg_uncore_ghz = f "avg_uncore_ghz";
-      zones =
-        (match get "zones" with
-        | J.Arr [ c; u; d; s ] ->
-          { core_j = flt c; uncore_j = flt u; dram_j = flt d; static_j = flt s }
-        | _ -> raise Bad_shape);
-      flops = i "flops";
-      dram_lines = i "dram_lines";
-      dram_bytes = i "dram_bytes";
-      cache_stats =
-        (match get "cache_stats" with
-        | J.Arr levels ->
-          Array.of_list
-            (List.map
-               (function
-                 | J.Arr [ h; m; e; w ] ->
-                   { Cache.hits = int h; misses = int m; evictions = int e;
-                     writebacks = int w }
-                 | _ -> raise Bad_shape)
-               levels)
-        | _ -> raise Bad_shape);
-      cap_switches = i "cap_switches";
-      achieved_gflops = f "achieved_gflops";
-      achieved_bw_gbps = f "achieved_bw_gbps";
-    }
-  with
-  | o -> Some o
-  | exception Bad_shape -> None
+let outcome_of_json =
+  J.decode @@ fun j ->
+  let open J in
+  let f k = flt_of (get k j) and i k = int_of (get k j) in
+  {
+    time_s = f "time_s";
+    energy_j = f "energy_j";
+    edp = f "edp";
+    avg_power_w = f "avg_power_w";
+    avg_uncore_ghz = f "avg_uncore_ghz";
+    zones =
+      (match get "zones" j with
+      | Arr [ c; u; d; s ] ->
+        { core_j = flt_of c; uncore_j = flt_of u; dram_j = flt_of d;
+          static_j = flt_of s }
+      | _ -> raise Bad_shape);
+    flops = i "flops";
+    dram_lines = i "dram_lines";
+    dram_bytes = i "dram_bytes";
+    cache_stats =
+      Array.of_list
+        (List.map
+           (function
+             | Arr [ h; m; e; w ] ->
+               { Cache.hits = int_of h; misses = int_of m;
+                 evictions = int_of e; writebacks = int_of w }
+             | _ -> raise Bad_shape)
+           (arr_of (get "cache_stats" j)));
+    cap_switches = i "cap_switches";
+    achieved_gflops = f "achieved_gflops";
+    achieved_bw_gbps = f "achieved_bw_gbps";
+  }
 
 let pp_outcome ppf o =
   Format.fprintf ppf

@@ -65,9 +65,8 @@ val domain_cardinality :
 (** Exact iteration count of one statement's domain at concrete parameter
     values.  Backed by the chamber decomposition ({!Presburger.Count.card_at}):
     when the parametric domain admits chambers the answer is an O(1)
-    quasi-polynomial evaluation off the warm memo (or the [symbolic/v1]
-    result-cache tier when [ctx] carries a cache); otherwise an exact
-    governed scan. *)
+    quasi-polynomial evaluation off the process-wide memo; otherwise an
+    exact governed scan. *)
 
 val pp_isl : Format.formatter -> t -> unit
 (** Dump the SCoP in isl notation (the OpenSCoP-exchange substitute): per

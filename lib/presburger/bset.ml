@@ -259,9 +259,10 @@ let lexmax t =
   require_ground t "Bset.lexmax";
   Poly.lexmax ~n_scan:(tuple_dims t) t.poly
 
-let fold_points t ~init ~f =
+let fold_points ?(ctx = Engine.Ctx.none) t ~init ~f =
   require_ground t "Bset.fold_points";
-  Poly.fold_points ~n_scan:(tuple_dims t) t.poly ~init ~f
+  Poly.fold_points ?budget:(Engine.Ctx.budget ctx)
+    ?cancel:(Engine.Ctx.cancel ctx) ~n_scan:(tuple_dims t) t.poly ~init ~f
 
 (* Count memo: repeated counts of the same reuse polytope inside one
    analysis (the common case in PolyUFC-CM: the same miss polytope shows up

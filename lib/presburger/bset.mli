@@ -80,9 +80,12 @@ val lexmin : t -> int array option
 val lexmax : t -> int array option
 (** Lexicographic extrema of the tuple dimensions (params fixed). *)
 
-val fold_points : t -> init:'a -> f:('a -> int array -> 'a) -> 'a
+val fold_points :
+  ?ctx:Engine.Ctx.t -> t -> init:'a -> f:('a -> int array -> 'a) -> 'a
 (** Enumerate tuple-dimension points in lexicographic order; params must be
-    fixed.  The visited array is reused — copy if retained. *)
+    fixed.  The visited array is reused — copy if retained.  [ctx]'s budget
+    and cancellation meter the existential search over divisions
+    ({!Poly.fold_points}). *)
 
 val cardinality : ?ctx:Engine.Ctx.t -> t -> int
 (** Number of tuple-dimension points (params fixed; divs existential).

@@ -16,7 +16,6 @@
 module Q = Linalg.Q
 module Ints = Linalg.Ints
 module Ctx = Engine.Ctx
-module J = Telemetry.Json
 
 type chamber = { guard : Poly.t; count : Qpoly.t }
 type t = { np : int; chambers : chamber list }
@@ -79,114 +78,6 @@ let clear_memo () =
   Mutex.lock memo_mu;
   Hashtbl.reset memo;
   Mutex.unlock memo_mu
-
-(* ---- serialization (symbolic/v1 result-cache entries) ---- *)
-
-let cstr_to_json (c : Poly.cstr) =
-  J.Obj
-    [
-      ("eq", J.Bool c.eq);
-      ("coef", J.Arr (Array.to_list (Array.map (fun x -> J.Int x) c.coef)));
-      ("const", J.Int c.const);
-    ]
-
-let cstr_of_json ~nvar j =
-  let ( let* ) = Option.bind in
-  let int_of = function J.Int i -> Some i | _ -> None in
-  let* eq = J.member "eq" j in
-  let* eq = match eq with J.Bool b -> Some b | _ -> None in
-  let* const = Option.bind (J.member "const" j) int_of in
-  let* coef_l = Option.bind (J.member "coef" j) J.to_list in
-  let* coef =
-    List.fold_left
-      (fun acc c ->
-        let* acc = acc in
-        let* c = int_of c in
-        Some (c :: acc))
-      (Some []) coef_l
-  in
-  let coef = Array.of_list (List.rev coef) in
-  if Array.length coef <> nvar then None
-  else Some (if eq then Poly.eq coef const else Poly.ge coef const)
-
-let guard_to_json g =
-  J.Arr (List.map cstr_to_json (Poly.constraints g))
-
-let guard_of_json ~np j =
-  let ( let* ) = Option.bind in
-  let* cstrs_l = J.to_list j in
-  let* cstrs =
-    List.fold_left
-      (fun acc cj ->
-        let* acc = acc in
-        let* c = cstr_of_json ~nvar:np cj in
-        Some (c :: acc))
-      (Some []) cstrs_l
-  in
-  match Poly.make np (List.rev cstrs) with
-  | g -> Some g
-  | exception _ -> None
-
-let to_json t =
-  J.Obj
-    [
-      ("np", J.Int t.np);
-      ( "chambers",
-        J.Arr
-          (List.map
-             (fun c ->
-               J.Obj
-                 [
-                   ("guard", guard_to_json c.guard);
-                   ("count", Qpoly.to_json c.count);
-                 ])
-             t.chambers) );
-    ]
-
-let of_json j =
-  let ( let* ) = Option.bind in
-  let* np = Option.bind (J.member "np" j) (function J.Int i -> Some i | _ -> None) in
-  if np < 0 then None
-  else
-    let* chambers_l = Option.bind (J.member "chambers" j) J.to_list in
-    let* chambers =
-      List.fold_left
-        (fun acc cj ->
-          let* acc = acc in
-          let* gj = J.member "guard" cj in
-          let* guard = guard_of_json ~np gj in
-          let* qj = J.member "count" cj in
-          let* count = Qpoly.of_json qj in
-          if Qpoly.np count <> np then None
-          else Some ({ guard; count } :: acc))
-        (Some []) chambers_l
-    in
-    Some { np; chambers = List.rev chambers }
-
-(* ---- symbolic result-cache tier ---- *)
-
-let cache_key key_str =
-  (* v2: fits bounded by the vertex period (entries stored before it may
-     carry an under-estimated period); v3: fits validated on the whole
-     corner of their chamber (entries stored before it may carry a fit
-     that is wrong there) *)
-  Engine.Rcache.key
-    [ ("kind", "polyufc-symbolic-chambers"); ("v", "3"); ("set", key_str) ]
-
-let cache_find ctx key_str =
-  match Ctx.cache ctx with
-  | None -> None
-  | Some rc -> (
-      match Engine.Rcache.find rc (cache_key key_str) with
-      | Some payload -> of_json payload
-      | None -> None)
-
-let cache_store ctx key_str t =
-  match Ctx.cache ctx with
-  | None -> ()
-  | Some rc ->
-      Engine.Rcache.store ~kind:Engine.Rcache.kind_symbolic rc
-        (cache_key key_str) (to_json t)
 
 (* ---- decomposition ---- *)
 
@@ -606,24 +497,15 @@ let decompose ?ctx b =
     | Some res ->
         if Option.is_some res then Telemetry.tick c_hits;
         res
-    | None -> (
-        match cache_find ctx key with
-        | Some ch ->
-            Telemetry.tick c_hits;
-            memo_add key (Some ch);
-            Some ch
-        | None ->
-            (* Budget exhaustion / cancellation raises out of [build]
-               before the memo or the cache is touched: degraded state
-               is never stored *)
-            let res = build ~ctx ~np ~m b p in
-            (match res with
-            | Some ch ->
-                Telemetry.add c_built (List.length ch.chambers);
-                cache_store ctx key ch
-            | None -> ());
-            memo_add key res;
-            res)
+    | None ->
+        (* Budget exhaustion / cancellation raises out of [build] before
+           the memo is touched: degraded state is never memoized *)
+        let res = build ~ctx ~np ~m b p in
+        Option.iter
+          (fun ch -> Telemetry.add c_built (List.length ch.chambers))
+          res;
+        memo_add key res;
+        res
   end
 
 let pp fmt t =

@@ -20,10 +20,8 @@
     heuristics cannot certify returns [None] and callers fall back to
     the exact scan, so a successful decomposition is always safe to
     evaluate.  Results are memoized process-wide (shared across daemon
-    requests) and persisted to the result cache as [symbolic/v1]
-    entries when the context carries one; budget exhaustion raises
-    {e before} the memo and the cache are updated, so degraded results
-    are never stored. *)
+    requests); budget exhaustion raises {e before} the memo is updated,
+    so degraded results are never memoized. *)
 
 type chamber = private { guard : Poly.t; count : Qpoly.t }
 (** [guard] is a polyhedron over the [np] parameter columns; [count]
@@ -42,8 +40,7 @@ val decompose : ?ctx:Engine.Ctx.t -> Bset.t -> t option
     system; memo hits tick [presburger.chamber_cache_hits], fresh
     builds add to [presburger.chambers_built].  With [ctx]: sampling
     and enumeration are metered against its budget
-    ({!Engine.Budget.Exhausted} propagates, nothing is stored), and a
-    result cache is consulted/populated with [symbolic/v1] entries. *)
+    ({!Engine.Budget.Exhausted} propagates, nothing is memoized). *)
 
 val eval : t -> int array -> int
 (** Count at a concrete parameter point (length [np]).  O(1): one
@@ -54,8 +51,5 @@ val n_chambers : t -> int
 
 val clear_memo : unit -> unit
 (** Drop the process-wide decomposition memo (tests and benchmarks). *)
-
-val to_json : t -> Telemetry.Json.t
-val of_json : Telemetry.Json.t -> t option
 
 val pp : Format.formatter -> t -> unit

@@ -180,8 +180,7 @@ let sample_fuel = 16 * sample_cap
 let fresh_sample_ctx ctx =
   {
     ctx with
-    Engine.Ctx.cache = None;
-    budget =
+    Engine.Ctx.budget =
       Some (Engine.Budget.create ~fuel:sample_fuel ~degrade:Engine.Budget.Off ());
   }
 
@@ -278,8 +277,7 @@ let card_gov ?(ctx = Engine.Ctx.none) b =
     let retry_ctx =
       {
         ctx with
-        Engine.Ctx.cache = None;
-        budget =
+        Engine.Ctx.budget =
           Some
             (Engine.Budget.create ~fuel:retry_fuel ~degrade:Engine.Budget.Off
                ());

@@ -85,9 +85,8 @@ val card_gov : ?ctx:Engine.Ctx.t -> Bset.t -> int * Engine.Fidelity.t
 val card_param : ?ctx:Engine.Ctx.t -> Bset.t -> Chamber.t option
 (** Chamber decomposition of a parametric basic set; [None] when the
     set is out of scope of the chamber engine (the caller should scan).
-    Memoized process-wide and, with a [ctx] cache, persisted as a
-    [symbolic/v1] entry.  Budget exhaustion propagates
-    ({!Engine.Budget.Exhausted}) before anything is stored. *)
+    Memoized process-wide.  Budget exhaustion propagates
+    ({!Engine.Budget.Exhausted}) before anything is memoized. *)
 
 val card_at : ?ctx:Engine.Ctx.t -> Bset.t -> int array -> int
 (** [card_at b values] is the cardinality of [b] at the given parameter

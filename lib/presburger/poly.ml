@@ -424,8 +424,34 @@ let bound_only tower j x =
     tower.(j + 1).cstrs;
   if !feasible then Some (!lo, !hi) else None
 
-(* existence of a completion of [x] over variables [k .. nvar-1] *)
-let rec exists_from tower x nvar k =
+(* Resource governance for the scans below: [tick] is one work unit,
+   polled against [budget]/[cancel] in batches of [meter_batch] so the hot
+   path pays an increment per unit; [flush] settles the remainder.  Both
+   are no-ops when the scan is ungoverned. *)
+let meter_batch = 1024
+
+let meter ?budget ?cancel () =
+  match (budget, cancel) with
+  | None, None -> ((fun () -> ()), fun () -> ())
+  | _ ->
+    let pending = ref 0 in
+    let flush () =
+      if !pending > 0 then begin
+        Option.iter Engine.Cancel.check cancel;
+        Option.iter (fun b -> Engine.Budget.spend b !pending) budget;
+        pending := 0
+      end
+    in
+    let tick () =
+      incr pending;
+      if !pending >= meter_batch then flush ()
+    in
+    (tick, flush)
+
+(* existence of a completion of [x] over variables [k .. nvar-1]: a
+   backtracking search (exponential in the existential columns at worst),
+   so every candidate value is one [tick] *)
+let rec exists_from ~tick tower x nvar k =
   if k = nvar then true
   else
     match level_bounds tower k x with
@@ -434,18 +460,20 @@ let rec exists_from tower x nvar k =
       let rec try_val v =
         if v > hi then false
         else begin
+          tick ();
           x.(k) <- v;
-          exists_from tower x nvar (k + 1) || try_val (v + 1)
+          exists_from ~tick tower x nvar (k + 1) || try_val (v + 1)
         end
       in
       try_val lo
     | Some _ -> raise Unbounded
 
-let fold_points ?n_scan t ~init ~f =
+let fold_points ?budget ?cancel ?n_scan t ~init ~f =
   let s = match n_scan with None -> t.nvar | Some s -> s in
   assert (s >= 0 && s <= t.nvar);
   if definitely_false t then init
   else begin
+    let tick, flush = meter ?budget ?cancel () in
     (* count enumerated points locally, bulk-report on exit: the scan is a
        hot path and must pay neither a registry lookup per point nor, when
        telemetry is off, the wrapper closure and [visited] allocations *)
@@ -463,7 +491,7 @@ let fold_points ?n_scan t ~init ~f =
     let prefix = Array.sub x 0 s in
     let rec scan k acc =
       if k = s then
-        if s = t.nvar || exists_from tower x t.nvar s then begin
+        if s = t.nvar || exists_from ~tick tower x t.nvar s then begin
           Array.blit x 0 prefix 0 s;
           f acc prefix
         end
@@ -484,9 +512,11 @@ let fold_points ?n_scan t ~init ~f =
     in
     (* an empty scan prefix degenerates to a single existence test *)
     let result =
-      if s = 0 then if exists_from tower x t.nvar 0 then f init prefix else init
+      if s = 0 then
+        if exists_from ~tick tower x t.nvar 0 then f init prefix else init
       else scan 0 init
     in
+    flush ();
     (match visited with None -> () | Some v -> Telemetry.add c_points !v);
     result
   end
@@ -546,21 +576,13 @@ let count_points ?pool ?budget ?cancel ?n_scan t =
   assert (s >= 0 && s <= t.nvar);
   (* resource governance: the enumeration below is the pipeline's one
      potentially-unbounded loop, so this is where deadlines, fuel and
-     cancellation are polled — in batches of [meter_batch] work units
-     (points + slices) to keep the hot path at an increment per unit *)
+     cancellation are polled — one work unit per scanned point, counted
+     slice and existential candidate, see [meter] *)
   let governed = budget <> None || cancel <> None in
   let guard () =
     Option.iter Engine.Cancel.check cancel;
     Option.iter Engine.Budget.check budget
   in
-  let flush pending =
-    if !pending > 0 then begin
-      Option.iter Engine.Cancel.check cancel;
-      Option.iter (fun b -> Engine.Budget.spend b !pending) budget;
-      pending := 0
-    end
-  in
-  let meter_batch = 1024 in
   if definitely_false t then 0
   else begin
     if governed then guard ();
@@ -573,22 +595,16 @@ let count_points ?pool ?budget ?cancel ?n_scan t =
        telemetry is accumulated locally and bulk-reported on exit *)
     let count_from x k0 =
       let scanned = ref 0 and slices = ref 0 in
-      let pending = ref 0 in
-      let meter () =
-        if governed then begin
-          incr pending;
-          if !pending >= meter_batch then flush pending
-        end
-      in
+      let tick, flush = meter ?budget ?cancel () in
       let rec count k =
         if k = s then begin
           incr scanned;
-          meter ();
-          if s = t.nvar || exists_from tower x t.nvar s then 1 else 0
+          tick ();
+          if s = t.nvar || exists_from ~tick tower x t.nvar s then 1 else 0
         end
         else if collapse.(k) then begin
           incr slices;
-          meter ();
+          tick ();
           (* product of decoupled slice lengths, shallowest first, stopping
              at the first empty level — exactly the set of levels the naive
              scan would have reached, so [Unbounded] behavior matches.
@@ -596,7 +612,8 @@ let count_points ?pool ?budget ?cancel ?n_scan t =
              genuinely cut); deeper levels use bound constraints only. *)
           let rec product j acc =
             if j = s then
-              if s = t.nvar || exists_from tower x t.nvar s then acc else 0
+              if s = t.nvar || exists_from ~tick tower x t.nvar s then acc
+              else 0
             else begin
               match
                 if j = k then level_bounds tower j x else bound_only tower j x
@@ -629,7 +646,7 @@ let count_points ?pool ?budget ?cancel ?n_scan t =
             Telemetry.add c_slices !slices)
           (fun () -> count k0)
       in
-      if governed then flush pending;
+      flush ();
       r
     in
     let seq () = count_from (Array.make (max t.nvar 1) 0) 0 in

@@ -76,14 +76,21 @@ val remove_redundant : t -> t
     unchanged; rationally empty systems are returned untouched. *)
 
 val fold_points :
-  ?n_scan:int -> t -> init:'a -> f:('a -> int array -> 'a) -> 'a
+  ?budget:Engine.Budget.t ->
+  ?cancel:Engine.Cancel.t ->
+  ?n_scan:int ->
+  t ->
+  init:'a ->
+  f:('a -> int array -> 'a) ->
+  'a
 (** Fold over integer points in lexicographic order of variables
     [0 .. n_scan-1] (default all).  When [n_scan < nvar], the remaining
     variables are treated existentially: each scanned prefix is visited at
     most once, if some completion satisfies the system.  The array passed to
     [f] has length [n_scan] and is reused between calls — copy it if
     retained.  Raises {!Unbounded} if a scanned variable has no finite
-    bounds. *)
+    bounds.  With [budget]/[cancel], the existential search meters one
+    work unit per candidate value, as in {!count_points}. *)
 
 val iter_points : ?n_scan:int -> t -> f:(int array -> unit) -> unit
 
@@ -104,8 +111,9 @@ val count_points :
     the outermost scanned dimension is chunked across its workers.
 
     Resource governance: with [budget]/[cancel], the slice loops meter
-    one work unit per scanned point or counted slice (polled in batches
-    of 1024) and raise {!Engine.Budget.Exhausted} /
+    one work unit per scanned point or counted slice, and the existential
+    search over the columns past [n_scan] one per candidate value (polled
+    in batches of 1024), and raise {!Engine.Budget.Exhausted} /
     {!Engine.Cancel.Cancelled} — the count is then abandoned; callers
     with a degradation policy substitute an estimate
     ({!Count.card_gov}). *)

@@ -241,16 +241,16 @@ let lexmax_point t =
       | Some x, Some y -> if lex_compare y x > 0 then Some y else Some x)
     None t.disjuncts
 
-let fold_points t ~init ~f =
+let fold_points ?ctx t ~init ~f =
   match t.disjuncts with
   | [] -> init
-  | [ b ] -> Bset.fold_points b ~init ~f
+  | [ b ] -> Bset.fold_points ?ctx b ~init ~f
   | ds ->
     (* deduplicate points shared between overlapping disjuncts *)
     let seen = Hashtbl.create 1024 in
     List.fold_left
       (fun acc b ->
-        Bset.fold_points b ~init:acc ~f:(fun acc p ->
+        Bset.fold_points ?ctx b ~init:acc ~f:(fun acc p ->
             let key = Array.to_list p in
             if Hashtbl.mem seen key then acc
             else begin
@@ -290,11 +290,12 @@ let cardinality ?(ctx = Engine.Ctx.none) t =
     in
     go 0 [] ds
   | _ ->
-    (* enumerating dedup fallback: meter each deduplicated point so the
-       budget bounds this path too *)
+    (* enumerating dedup fallback: meter each deduplicated point (and,
+       inside [fold_points], each existential candidate) so the budget
+       bounds this path too *)
     let pending = ref 0 in
     let n =
-      fold_points t ~init:0 ~f:(fun n _ ->
+      fold_points ~ctx t ~init:0 ~f:(fun n _ ->
           incr pending;
           if !pending >= 1024 then begin
             Engine.Ctx.spend ctx !pending;

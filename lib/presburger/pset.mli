@@ -70,8 +70,10 @@ val cardinality : ?ctx:Engine.Ctx.t -> t -> int
 val card : ?ctx:Engine.Ctx.t -> t -> int
 (** Alias for {!cardinality}. *)
 
-val fold_points : t -> init:'a -> f:('a -> int array -> 'a) -> 'a
+val fold_points :
+  ?ctx:Engine.Ctx.t -> t -> init:'a -> f:('a -> int array -> 'a) -> 'a
 (** Fold over distinct points of the union, in lexicographic order when
-    there is a single disjunct (unordered otherwise). *)
+    there is a single disjunct (unordered otherwise); metered as
+    {!Bset.fold_points}. *)
 
 val pp : Format.formatter -> t -> unit

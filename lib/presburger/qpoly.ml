@@ -204,84 +204,6 @@ let fit ~degree ~periods ~anchor ~f () =
     if !ok then Some cand else None
   end
 
-(* ---- serialization (symbolic result-cache tier) ---- *)
-
-module J = Telemetry.Json
-
-let q_to_json q = J.Str (Printf.sprintf "%d/%d" (Q.num q) (Q.den q))
-
-let q_of_json = function
-  | J.Str s -> (
-      match String.index_opt s '/' with
-      | Some i -> (
-          try
-            Some
-              (Q.make
-                 (int_of_string (String.sub s 0 i))
-                 (int_of_string
-                    (String.sub s (i + 1) (String.length s - i - 1))))
-          with _ -> None)
-      | None -> ( try Some (Q.of_int (int_of_string s)) with _ -> None))
-  | _ -> None
-
-let to_json t =
-  J.Obj
-    [
-      ("np", J.Int t.np);
-      ("degree", J.Int t.degree);
-      ("periods", J.Arr (Array.to_list (Array.map (fun p -> J.Int p) t.periods)));
-      ( "tables",
-        J.Arr
-          (Array.to_list
-             (Array.map
-                (fun tbl ->
-                  J.Arr (Array.to_list (Array.map q_to_json tbl)))
-                t.tables)) );
-    ]
-
-let of_json j =
-  let ( let* ) = Option.bind in
-  let int_of = function J.Int i -> Some i | _ -> None in
-  let* np = Option.bind (J.member "np" j) int_of in
-  let* degree = Option.bind (J.member "degree" j) int_of in
-  let* periods_l = Option.bind (J.member "periods" j) J.to_list in
-  let* periods =
-    List.fold_left
-      (fun acc p ->
-        let* acc = acc in
-        let* p = int_of p in
-        if p < 1 then None else Some (p :: acc))
-      (Some []) periods_l
-  in
-  let periods = Array.of_list (List.rev periods) in
-  let* tables_l = Option.bind (J.member "tables" j) J.to_list in
-  let* tables =
-    List.fold_left
-      (fun acc tj ->
-        let* acc = acc in
-        let* cells = J.to_list tj in
-        let* qs =
-          List.fold_left
-            (fun acc c ->
-              let* acc = acc in
-              let* q = q_of_json c in
-              Some (q :: acc))
-            (Some []) cells
-        in
-        Some (Array.of_list (List.rev qs) :: acc))
-      (Some []) tables_l
-  in
-  let tables = Array.of_list (List.rev tables) in
-  if
-    np >= 0 && degree >= 0
-    && Array.length periods = np
-    && Array.length tables = n_classes periods
-    && Array.for_all
-         (fun tbl -> Array.length tbl = pow_int (degree + 1) np)
-         tables
-  then Some { np; degree; periods; tables }
-  else None
-
 let pp fmt t =
   Format.fprintf fmt "@[<hv>qpoly[np=%d deg=%d periods=%s classes=%d]@]" t.np
     t.degree

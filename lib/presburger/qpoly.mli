@@ -57,9 +57,4 @@ val extent : degree:int -> period:int -> int
     sampled by {!fit} with these settings.  Callers use it to pick an
     anchor whose sample box lies inside a chamber. *)
 
-val to_json : t -> Telemetry.Json.t
-val of_json : Telemetry.Json.t -> t option
-(** Serialization for the symbolic result-cache tier; [of_json] returns
-    [None] on any shape mismatch (never raises). *)
-
 val pp : Format.formatter -> t -> unit

@@ -299,40 +299,28 @@ let to_json k =
       ("dram_w_per_gbps", f k.dram_w_per_gbps);
     ]
 
-exception Bad_shape
-
-let of_json ~machine j =
-  let flt v =
-    match J.float_of_hex v with Some x -> x | None -> raise Bad_shape
-  in
-  let f name =
-    match J.member name j with Some v -> flt v | None -> raise Bad_shape
-  in
-  match
-    {
-      machine;
-      t_fpu_ns = f "t_fpu_ns";
-      e_fpu_nj = f "e_fpu_nj";
-      p_fpu_hat_w = f "p_fpu_hat_w";
-      p_con_w = f "p_con_w";
-      peak_gflops = f "peak_gflops";
-      peak_bw_gbps = f "peak_bw_gbps";
-      b_dram_t = f "b_dram_t";
-      hit_cost_ns =
-        (match J.member "hit_cost_ns" j with
-        | Some (J.Arr l) -> Array.of_list (List.map flt l)
-        | _ -> raise Bad_shape);
-      miss_lat_a = f "miss_lat_a";
-      miss_lat_b = f "miss_lat_b";
-      alpha_p = f "alpha_p";
-      gamma_p = f "gamma_p";
-      bw_per_ghz = f "bw_per_ghz";
-      bw_sat_gbps = f "bw_sat_gbps";
-      dram_w_per_gbps = f "dram_w_per_gbps";
-    }
-  with
-  | k -> Some k
-  | exception Bad_shape -> None
+let of_json ~machine =
+  J.decode @@ fun j ->
+  let f name = J.flt_of (J.get name j) in
+  {
+    machine;
+    t_fpu_ns = f "t_fpu_ns";
+    e_fpu_nj = f "e_fpu_nj";
+    p_fpu_hat_w = f "p_fpu_hat_w";
+    p_con_w = f "p_con_w";
+    peak_gflops = f "peak_gflops";
+    peak_bw_gbps = f "peak_bw_gbps";
+    b_dram_t = f "b_dram_t";
+    hit_cost_ns =
+      Array.of_list (List.map J.flt_of (J.arr_of (J.get "hit_cost_ns" j)));
+    miss_lat_a = f "miss_lat_a";
+    miss_lat_b = f "miss_lat_b";
+    alpha_p = f "alpha_p";
+    gamma_p = f "gamma_p";
+    bw_per_ghz = f "bw_per_ghz";
+    bw_sat_gbps = f "bw_sat_gbps";
+    dram_w_per_gbps = f "dram_w_per_gbps";
+  }
 
 let stored store m =
   Engine.Rcache.find_or_add ~kind:Engine.Rcache.kind_roofline store

@@ -90,8 +90,6 @@ module Json = struct
     | Obj l -> List.assoc_opt k l
     | _ -> None
 
-  let to_list = function Arr l -> Some l | _ -> None
-
   let number = function
     | Int i -> Some (float_of_int i)
     | Float f -> Some f
@@ -102,6 +100,19 @@ module Json = struct
   let float_of_hex = function
     | Str s -> float_of_string_opt s
     | j -> number j
+
+  exception Bad_shape
+
+  let get k j = match member k j with Some v -> v | None -> raise Bad_shape
+  let int_of = function Int i -> i | _ -> raise Bad_shape
+  let str_of = function Str s -> s | _ -> raise Bad_shape
+  let bool_of = function Bool b -> b | _ -> raise Bad_shape
+  let arr_of = function Arr l -> l | _ -> raise Bad_shape
+
+  let flt_of j =
+    match float_of_hex j with Some f -> f | None -> raise Bad_shape
+
+  let decode f j = match f j with v -> Some v | exception Bad_shape -> None
 
   (* recursive-descent parser; returns [Error msg] on malformed input *)
   exception Parse_error of string

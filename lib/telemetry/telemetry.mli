@@ -26,7 +26,6 @@ module Json : sig
   val to_string : t -> string
   val of_string : string -> (t, string) result
   val member : string -> t -> t option
-  val to_list : t -> t list option
   val number : t -> float option
 
   val hex_float : float -> t
@@ -35,6 +34,28 @@ module Json : sig
 
   val float_of_hex : t -> float option
   (** Inverse of {!hex_float}; plain numbers are accepted too. *)
+
+  (** {2 Strict decoding of store payloads}
+
+      Each accessor raises {!Bad_shape} when the value does not have the
+      expected shape; {!decode} turns that into [None]. *)
+
+  exception Bad_shape
+
+  val get : string -> t -> t
+  (** The member of an object. *)
+
+  val int_of : t -> int
+  val str_of : t -> string
+  val bool_of : t -> bool
+  val arr_of : t -> t list
+
+  val flt_of : t -> float
+  (** {!float_of_hex}, raising. *)
+
+  val decode : (t -> 'a) -> t -> 'a option
+  (** [decode f j] is [Some (f j)], or [None] when [f] raises
+      {!Bad_shape}. *)
 end
 
 type span = {

@@ -453,75 +453,23 @@ let qcheck_param =
   ]
   @ hull_props
 
-(* ---------- symbolic cache tier ---------- *)
+(* ---------- chamber memo ---------- *)
 
 let tetra_b () =
   parse1
     "[n] -> { [i,j,k] : 0 <= i < n and 0 <= j < n - i and 0 <= k < n - i - \
      j }"
 
-let fresh_cache_dir () = Filename.temp_dir "polyufc_symcache_test" ""
-
-let symbolic_entries cache =
-  match
-    List.assoc_opt Engine.Rcache.kind_symbolic
-      (Engine.Rcache.stats_by_kind cache)
-  with
-  | Some (s : Engine.Rcache.stats) -> s.Engine.Rcache.entries
-  | None -> 0
-
-let test_symbolic_cache_roundtrip () =
-  let dir = fresh_cache_dir () in
-  let cache = Engine.Rcache.create ~dir () in
-  let ctx = Engine.Ctx.create ~cache () in
-  let b = tetra_b () in
-  Telemetry.reset ();
-  Telemetry.enable ();
-  Fun.protect ~finally:(fun () ->
-      Telemetry.disable ();
-      Telemetry.reset ())
-  @@ fun () ->
-  Chamber.clear_memo ();
-  let ch =
-    match Count.card_param ~ctx b with
-    | Some ch -> ch
-    | None -> Alcotest.fail "tetra should decompose"
-  in
-  Alcotest.(check int) "one symbolic/v1 entry stored" 1 (symbolic_entries cache);
-  (* drop the in-process memo: the next decompose must come back from
-     the persistent tier, counted as a chamber cache hit *)
-  Chamber.clear_memo ();
-  let hits0 = Telemetry.counter_value "presburger.chamber_cache_hits" in
-  let ch' =
-    match Count.card_param ~ctx b with
-    | Some ch' -> ch'
-    | None -> Alcotest.fail "cached tetra should decompose"
-  in
-  let hits1 = Telemetry.counter_value "presburger.chamber_cache_hits" in
-  Alcotest.(check bool) "cache reload ticks chamber_cache_hits" true
-    (hits1 > hits0);
-  List.iter
-    (fun n ->
-      Alcotest.(check int)
-        (Printf.sprintf "reloaded decomposition agrees at n=%d" n)
-        (Chamber.eval ch [| n |])
-        (Chamber.eval ch' [| n |]))
-    [ 0; 1; 5; 17; 40 ]
-
-let test_symbolic_cache_never_degraded () =
-  let dir = fresh_cache_dir () in
-  let cache = Engine.Rcache.create ~dir () in
+let test_degraded_never_memoized () =
   let budget = Engine.Budget.create ~fuel:1 ~degrade:Engine.Budget.Interp () in
-  let ctx = Engine.Ctx.create ~cache ~budget () in
+  let ctx = Engine.Ctx.create ~budget () in
   let b = tetra_b () in
   Chamber.clear_memo ();
   (match Count.card_param ~ctx b with
   | exception Engine.Budget.Exhausted _ -> ()
   | Some _ -> Alcotest.fail "1 fuel unit cannot build a decomposition"
   | None -> Alcotest.fail "exhaustion must raise, not decline");
-  Alcotest.(check int) "nothing stored after exhaustion" 0
-    (symbolic_entries cache);
-  (* and the memo was not poisoned: a generous retry builds fresh *)
+  (* the memo was not poisoned: a generous retry builds fresh *)
   Telemetry.reset ();
   Telemetry.enable ();
   Fun.protect ~finally:(fun () ->
@@ -534,6 +482,45 @@ let test_symbolic_cache_never_degraded () =
   | None -> Alcotest.fail "ungoverned retry should decompose");
   let built1 = Telemetry.counter_value "presburger.chambers_built" in
   Alcotest.(check bool) "retry built chambers fresh" true (built1 > built0)
+
+(* ---------- governed existential search ---------- *)
+
+(* [x = lo] (one tuple point) with four division columns that have no
+   integer completion: [d1 + d2] must be both even ([2·d3]) and odd
+   ([2·d4 - 1]) for [d1, d2] in [0, 199].  Only the backtracking search
+   over the 200 × 200 [(d1, d2)] candidates finds that out *)
+let no_completion lo =
+  let c l = Array.of_list l in
+  let poly =
+    Poly.make 5
+      [
+        Poly.ge (c [ 1; 0; 0; 0; 0 ]) (-lo);
+        Poly.ge (c [ -1; 0; 0; 0; 0 ]) lo;
+        Poly.ge (c [ 0; 1; 0; 0; 0 ]) 0;
+        Poly.ge (c [ 0; -1; 0; 0; 0 ]) 199;
+        Poly.ge (c [ 0; 0; 1; 0; 0 ]) 0;
+        Poly.ge (c [ 0; 0; -1; 0; 0 ]) 199;
+        Poly.eq (c [ 0; 1; 1; -2; 0 ]) 0;
+        Poly.eq (c [ 0; 1; 1; 0; -2 ]) 1;
+      ]
+  in
+  Bset.of_poly (Space.set_space ~name:"S" [ "x" ]) ~n_div:4 poly
+
+let test_existential_search_metered () =
+  let small () =
+    Engine.Ctx.create ~budget:(Engine.Budget.create ~fuel:1000 ()) ()
+  in
+  let a = no_completion 0 and b = no_completion 1 in
+  (match Bset.cardinality ~ctx:(small ()) a with
+  | exception Engine.Budget.Exhausted _ -> ()
+  | n -> Alcotest.failf "Bset count of %d finished under 1000 fuel" n);
+  (* two division disjuncts take the enumerating union fallback *)
+  let u = Pset.of_bsets (Bset.space a) [ a; b ] in
+  (match Pset.cardinality ~ctx:(small ()) u with
+  | exception Engine.Budget.Exhausted _ -> ()
+  | n -> Alcotest.failf "Pset count of %d finished under 1000 fuel" n);
+  Alcotest.(check int) "ungoverned count" 0 (Bset.cardinality a);
+  Alcotest.(check int) "ungoverned union count" 0 (Pset.cardinality u)
 
 let test_chamber_counters () =
   Chamber.clear_memo ();
@@ -608,10 +595,10 @@ let tests =
       test_q_to_int_exn_message;
     Alcotest.test_case "Count.eval overflow detection" `Quick
       test_count_eval_overflow;
-    Alcotest.test_case "symbolic cache tier round-trips chambers" `Quick
-      test_symbolic_cache_roundtrip;
     Alcotest.test_case "degraded decompositions are never cached" `Quick
-      test_symbolic_cache_never_degraded;
+      test_degraded_never_memoized;
+    Alcotest.test_case "existential search is metered" `Quick
+      test_existential_search_metered;
     Alcotest.test_case "chamber telemetry counters tick" `Quick
       test_chamber_counters;
     Alcotest.test_case "chamber period divides the vertex denominators" `Quick

@@ -294,6 +294,22 @@ let test_store_tier () =
   AC.clear_tile_memo ();
   check "no store" 32 (tile ~ctx:Engine.Ctx.none 32) [ 0; 0; 1 ]
 
+(* [C[j - 7][2 * j - 4]] lies below the layout at every size: the cache
+   model must name the access, not fail with a bare "index out of
+   bounds" *)
+let test_strided_bad_access_named () =
+  let prog = (Tiling.tile ~tile_size:32 (Polylang.parse strided_src)).Tiling.tiled in
+  match
+    Cache_model.Model.analyze_gov ~machine:Hwsim.Machine.bdw prog
+      ~param_values:[ ("n", 16) ]
+  with
+  | _ -> Alcotest.fail "an access below the layout was modelled"
+  | exception Invalid_argument m ->
+    Alcotest.(check string) "names statement, array and address"
+      "statement S0 writes array C at byte address -672, below the layout \
+       (an index out of the array's bounds)"
+      m
+
 let tests =
   [
     Alcotest.test_case "apply . plan == tile == oracle: 29 workloads x 4/8/32"
@@ -302,6 +318,8 @@ let tests =
       test_apply_rejects_foreign_plan;
     Alcotest.test_case "tiler salt guard" `Quick test_salt_guard;
     Alcotest.test_case "a strided loop ends the band" `Quick test_strided_band;
+    Alcotest.test_case "an access below the layout is named" `Quick
+      test_strided_bad_access_named;
     Alcotest.test_case "memo key is exact: constants past %g" `Quick
       test_exact_key;
     Alcotest.test_case "tiling/v1: hits, corrupt and foreign entries" `Quick
