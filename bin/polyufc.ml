@@ -53,10 +53,17 @@ let sizes_arg =
         ~doc:"Parameter bindings, e.g. $(b,-s n=200).")
 
 let tile_size_arg =
-  Arg.(
-    value
-    & opt int Request.default_tile_size
-    & info [ "tile-size" ] ~docv:"T" ~doc:"Pluto tile size (default 32).")
+  let positive t =
+    if t <= 0 then
+      Resource_flags.usage_error "invalid --tile-size %d (want a positive integer)" t;
+    t
+  in
+  Term.(
+    const positive
+    $ Arg.(
+        value
+        & opt int Request.default_tile_size
+        & info [ "tile-size" ] ~docv:"T" ~doc:"Pluto tile size (default 32)."))
 
 let epsilon_arg =
   Arg.(
@@ -1065,30 +1072,6 @@ let client_cmd =
 let cache_cmd =
   let module R = Engine.Rcache in
   let module J = Telemetry.Json in
-  (* counter fields shared by the json and openmetrics renderings *)
-  let counter_fields (k : R.counts) =
-    [
-      ("hits", k.R.hits);
-      ("misses", k.R.misses);
-      ("stores", k.R.stores);
-      ("corrupt", k.R.corrupt);
-      ("quarantined", k.R.quarantined);
-      ("write_retries", k.R.write_retries);
-      ("readonly_flips", k.R.readonly_flips);
-      ("mem_hits", k.R.mem_hits);
-      ("disk_hits", k.R.disk_hits);
-      ("upstream_hits", k.R.upstream_hits);
-      ("promotions", k.R.promotions);
-      ("evictions", k.R.evictions);
-      ("mem_evictions", k.R.mem_evictions);
-      ("gc_runs", k.R.gc_runs);
-      ("gc_crashes", k.R.gc_crashes);
-      ("migrated", k.R.migrated);
-      ("index_rebuilds", k.R.index_rebuilds);
-      ("index_bad_lines", k.R.index_bad_lines);
-      ("quarantine_dropped", k.R.quarantine_dropped);
-    ]
-  in
   let rate hits total =
     if total > 0 then 100.0 *. float_of_int hits /. float_of_int total else 0.0
   in
@@ -1097,8 +1080,8 @@ let cache_cmd =
     let run cache_dir format json =
       let format = if json then `Json else format in
       let c = R.create ?dir:cache_dir () in
-      (* everything below reads the index (entries/bytes/kinds) and the
-         counter sidecar: no full entry scan *)
+      (* everything below reads the index log (entries/bytes/kinds and
+         the counter lines) after one cross-check against the shard tree *)
       let s = R.stats c in
       let by_kind = R.stats_by_kind c in
       let ih = R.index_health c in
@@ -1137,7 +1120,7 @@ let cache_cmd =
                     ] );
                 ("hit_rate_pct", J.Float (rate k.R.hits total));
               ]
-             @ List.map (fun (n, v) -> (n, J.Int v)) (counter_fields k)))
+             @ List.map (fun (n, v) -> (n, J.Int v)) (R.count_list k)))
       | `Openmetrics ->
         let b = Buffer.create 1024 in
         Buffer.add_string b
@@ -1155,7 +1138,7 @@ let cache_cmd =
               (Printf.sprintf "# TYPE polyufc_cache_%s counter\n" name);
             Buffer.add_string b
               (Printf.sprintf "polyufc_cache_%s_total %d\n" name v))
-          (counter_fields k);
+          (R.count_list k);
         Buffer.add_string b "# EOF\n";
         print_string (Buffer.contents b)
       | `Text ->
@@ -1170,7 +1153,7 @@ let cache_cmd =
               (if ks.R.entries = 1 then "y" else "ies")
               ks.R.bytes)
           by_kind;
-        Format.printf "index: %d entr%s, %d log record%s since snapshot@."
+        Format.printf "index: %d entr%s, %d log record%s beyond the live entries@."
           ih.R.indexed_entries
           (if ih.R.indexed_entries = 1 then "y" else "ies")
           ih.R.log_records

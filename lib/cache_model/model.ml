@@ -87,8 +87,9 @@ let make_level mode ~footprint (geom : Hwsim.Machine.cache_geometry) =
   }
 
 (* touch [line] in set [set] with {!Lru.touch}'s semantics: [true] on a
-   hit; an address below the layout gives a negative set, which
-   set-associative mode rejects ([analyze_gov] names the access) *)
+   hit; an address a line or more below the layout gives a negative set,
+   which set-associative mode rejects ([analyze_gov] names the access;
+   [analyze] rejects the ones less than a line below after its walk) *)
 let[@inline] touch st set line =
   match st.resident with
   | Tags tags -> Hwsim.Setassoc.touch tags ~set line
@@ -224,6 +225,11 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
   (* only last-level counters are scaled back up *)
   let scale_at i x = if i = n_levels - 1 then x * sampling else x in
   let res = Trace.scan prog ~param_values ~on_chunk in
+  (* an address less than a line below the layout truncates to line 0
+     instead of failing the tag array's bounds check: reject it the same
+     way, once per scan rather than once per access *)
+  if res.Trace.below_layout && mode = Set_associative then
+    invalid_arg "index out of bounds";
   let stmt_order = List.rev !stmt_order in
   let stmt_state k = Option.get states.(k) in
   (* the per-level totals are the sums of the per-statement counters *)
@@ -633,10 +639,9 @@ let analyze_approx ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
     fidelity = Engine.Fidelity.Degraded;
   }
 
-(* [analyze]'s tag array rejects an address below the layout with a bare
+(* [analyze] rejects an address below the layout with a bare
    [Invalid_argument]: re-walk the trace up to the first such access and
-   name it (the walk stops where [analyze] did); any other error is
-   re-raised as it came *)
+   name it; any other error is re-raised as it came *)
 let name_below_layout prog ~param_values exn =
   let tables = Trace.tables prog in
   let k = ref (-1) and nth = ref 0 in

@@ -85,7 +85,9 @@ val analyze :
   param_values:(string * int) list ->
   result
 (** Run the model.  The thread heuristic applies only when the program
-    contains a loop marked [parallel] (default on).
+    contains a loop marked [parallel] (default on).  In
+    [Set_associative] mode an access to any byte below the layout (a
+    negative address) raises [Invalid_argument "index out of bounds"].
 
     With a [ctx] carrying a budget or cancellation token, every simulated
     access is metered (in batches of 8192) and the analysis raises

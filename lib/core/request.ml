@@ -146,7 +146,11 @@ let tenants_of params =
 (* each op reads its fields in the order the daemon always has, so the
    first of several problems is the one reported *)
 let decode ~op params =
-  let tile_size () = get_int ~default:default_tile_size params "tile_size" in
+  let tile_size () =
+    let t = get_int ~default:default_tile_size params "tile_size" in
+    if t <= 0 then bad "params.tile_size must be a positive integer";
+    t
+  in
   let epsilon () = get_float ~default:default_epsilon params "epsilon" in
   let single ~search op =
     let job = job_of params in

@@ -35,7 +35,7 @@
    opportunistically after a store that pushes the index totals over a
    watermark.  GC removes the entry file *before* appending the removal
    record, so a kill -9 mid-sweep leaves at worst a stale index — which
-   the count check above repairs on the next open.
+   the count check above repairs at the next handle's cross-check.
 
    A read that fails (I/O error, bad JSON, bad checksum) is retried once
    — a concurrent writer's rename can race the first read — and then the
@@ -80,6 +80,7 @@ let c_gc_crash = Telemetry.counter "engine.cache.gc_crashes"
 let c_migrated = Telemetry.counter "engine.cache.migrated"
 let c_index_rebuild = Telemetry.counter "engine.cache.index_rebuilds"
 let c_index_bad_line = Telemetry.counter "engine.cache.index_bad_lines"
+let c_tree_scan = Telemetry.counter "engine.cache.tree_scans"
 
 type counts = {
   hits : int;
@@ -101,6 +102,7 @@ type counts = {
   index_rebuilds : int;
   index_bad_lines : int;
   quarantine_dropped : int;
+  tree_scans : int;
 }
 
 (* Always-on per-directory counters: the CLI's `cache stats` and the
@@ -129,6 +131,7 @@ type live = {
   l_index_rebuilds : int Atomic.t;
   l_index_bad_lines : int Atomic.t;
   l_quarantine_dropped : int Atomic.t;
+  l_tree_scans : int Atomic.t;
 }
 
 let fresh_live () =
@@ -152,6 +155,7 @@ let fresh_live () =
     l_index_rebuilds = Atomic.make 0;
     l_index_bad_lines = Atomic.make 0;
     l_quarantine_dropped = Atomic.make 0;
+    l_tree_scans = Atomic.make 0;
   }
 
 (* dir -> live counters, one record per cache directory per process *)
@@ -170,6 +174,104 @@ let live_for dir =
 let bump telemetry_c process_c =
   Telemetry.tick telemetry_c;
   ignore (Atomic.fetch_and_add process_c 1)
+
+(* the counter fields by name, in the order [cache stats] lists them *)
+let count_fields =
+  [
+    ("hits", (fun c -> c.hits), fun c v -> { c with hits = v });
+    ("misses", (fun c -> c.misses), fun c v -> { c with misses = v });
+    ("stores", (fun c -> c.stores), fun c v -> { c with stores = v });
+    ("corrupt", (fun c -> c.corrupt), fun c v -> { c with corrupt = v });
+    ( "quarantined",
+      (fun c -> c.quarantined),
+      fun c v -> { c with quarantined = v } );
+    ( "write_retries",
+      (fun c -> c.write_retries),
+      fun c v -> { c with write_retries = v } );
+    ( "readonly_flips",
+      (fun c -> c.readonly_flips),
+      fun c v -> { c with readonly_flips = v } );
+    ("mem_hits", (fun c -> c.mem_hits), fun c v -> { c with mem_hits = v });
+    ("disk_hits", (fun c -> c.disk_hits), fun c v -> { c with disk_hits = v });
+    ( "upstream_hits",
+      (fun c -> c.upstream_hits),
+      fun c v -> { c with upstream_hits = v } );
+    ("promotions", (fun c -> c.promotions), fun c v -> { c with promotions = v });
+    ("evictions", (fun c -> c.evictions), fun c v -> { c with evictions = v });
+    ( "mem_evictions",
+      (fun c -> c.mem_evictions),
+      fun c v -> { c with mem_evictions = v } );
+    ("gc_runs", (fun c -> c.gc_runs), fun c v -> { c with gc_runs = v });
+    ("gc_crashes", (fun c -> c.gc_crashes), fun c v -> { c with gc_crashes = v });
+    ("migrated", (fun c -> c.migrated), fun c v -> { c with migrated = v });
+    ( "index_rebuilds",
+      (fun c -> c.index_rebuilds),
+      fun c v -> { c with index_rebuilds = v } );
+    ( "index_bad_lines",
+      (fun c -> c.index_bad_lines),
+      fun c v -> { c with index_bad_lines = v } );
+    ( "quarantine_dropped",
+      (fun c -> c.quarantine_dropped),
+      fun c v -> { c with quarantine_dropped = v } );
+    ("tree_scans", (fun c -> c.tree_scans), fun c v -> { c with tree_scans = v });
+  ]
+
+let zero_counts =
+  {
+    hits = 0;
+    misses = 0;
+    stores = 0;
+    corrupt = 0;
+    quarantined = 0;
+    write_retries = 0;
+    readonly_flips = 0;
+    mem_hits = 0;
+    disk_hits = 0;
+    upstream_hits = 0;
+    promotions = 0;
+    evictions = 0;
+    mem_evictions = 0;
+    gc_runs = 0;
+    gc_crashes = 0;
+    migrated = 0;
+    index_rebuilds = 0;
+    index_bad_lines = 0;
+    quarantine_dropped = 0;
+    tree_scans = 0;
+  }
+
+let live_pairs l =
+  [
+    ((fun c v -> { c with hits = v }), l.l_hits);
+    ((fun c v -> { c with misses = v }), l.l_misses);
+    ((fun c v -> { c with stores = v }), l.l_stores);
+    ((fun c v -> { c with corrupt = v }), l.l_corrupt);
+    ((fun c v -> { c with quarantined = v }), l.l_quarantined);
+    ((fun c v -> { c with write_retries = v }), l.l_write_retries);
+    ((fun c v -> { c with readonly_flips = v }), l.l_readonly_flips);
+    ((fun c v -> { c with mem_hits = v }), l.l_mem_hits);
+    ((fun c v -> { c with disk_hits = v }), l.l_disk_hits);
+    ((fun c v -> { c with upstream_hits = v }), l.l_upstream_hits);
+    ((fun c v -> { c with promotions = v }), l.l_promotions);
+    ((fun c v -> { c with evictions = v }), l.l_evictions);
+    ((fun c v -> { c with mem_evictions = v }), l.l_mem_evictions);
+    ((fun c v -> { c with gc_runs = v }), l.l_gc_runs);
+    ((fun c v -> { c with gc_crashes = v }), l.l_gc_crashes);
+    ((fun c v -> { c with migrated = v }), l.l_migrated);
+    ((fun c v -> { c with index_rebuilds = v }), l.l_index_rebuilds);
+    ((fun c v -> { c with index_bad_lines = v }), l.l_index_bad_lines);
+    ((fun c v -> { c with quarantine_dropped = v }), l.l_quarantine_dropped);
+    ((fun c v -> { c with tree_scans = v }), l.l_tree_scans);
+  ]
+
+let snapshot_live l =
+  List.fold_left (fun c (set, a) -> set c (Atomic.get a)) zero_counts
+    (live_pairs l)
+
+let add_counts a b =
+  List.fold_left
+    (fun c (_, get, set) -> set c (get a + get b))
+    zero_counts count_fields
 
 (* ------------------------------------------------------------------ *)
 (* In-memory LRU tier                                                  *)
@@ -295,12 +397,10 @@ type ixent = {
 }
 
 type index = {
-  ix_mu : Mutex.t;
-  ix_tbl : (string, ixent) Hashtbl.t;
+  mutable ix_tbl : (string, ixent) Hashtbl.t;
   mutable ix_bytes : int; (* sum of live entry bytes *)
   mutable ix_seq : int; (* logical clock, monotonic per store *)
-  mutable ix_records : int; (* records appended since the last snapshot *)
-  mutable ix_fd : Unix.file_descr option;
+  mutable ix_lines : int; (* record lines in the log, whoever wrote them *)
 }
 
 type t = {
@@ -311,11 +411,13 @@ type t = {
   max_bytes : int option;
   max_entries : int option;
   quarantine_keep : int;
+  ix_mu : Mutex.t;
   ix : index;
   opened : bool Atomic.t;
   open_mu : Mutex.t;
   live : live;
-  mutable last_migrated : int; (* entries moved by this handle's open *)
+  mutable checked : bool; (* the shard-tree cross-check ran on this handle *)
+  mutable last_migrated : int; (* entries moved by this handle's check *)
 }
 
 let default_dir () =
@@ -382,18 +484,18 @@ let create ?dir ?upstream ?(mem_entries = default_mem_entries)
     max_bytes;
     max_entries;
     quarantine_keep = max 0 quarantine_keep;
+    ix_mu = Mutex.create ();
     ix =
       {
-        ix_mu = Mutex.create ();
         ix_tbl = Hashtbl.create 64;
         ix_bytes = 0;
         ix_seq = 0;
-        ix_records = 0;
-        ix_fd = None;
+        ix_lines = 0;
       };
     opened = Atomic.make false;
     open_mu = Mutex.create ();
     live = live_for cache_dir;
+    checked = false;
     last_migrated = 0;
   }
 
@@ -434,6 +536,7 @@ let entry_path t key = entry_path_in t.cache_dir key
 let quarantine_dir t = Filename.concat t.cache_dir "quarantine"
 let meta_dir_of dir = Filename.concat dir "meta"
 let index_path_of dir = Filename.concat (meta_dir_of dir) "index"
+let lock_path_of dir = Filename.concat (meta_dir_of dir) "lock"
 
 let warn fmt = Format.eprintf ("polyufc cache warning: " ^^ fmt ^^ "@.")
 
@@ -476,43 +579,101 @@ let payload_checksum payload = Digest.to_hex (Digest.string (J.to_string payload
      + <key> <kind> <bytes> <seq>#<crc>
      ~ <key> <seq>#<crc>
      - <key>#<crc>
+     c <counter>=<n> ...#<crc>
 
-   <crc> is the first 8 hex chars of the MD5 of the line body.  Appends
-   are a single write(2) on an O_APPEND descriptor, so concurrent
-   writers interleave whole lines; a torn trailing line from a crash
-   fails its checksum and is skipped (counted). *)
+   <crc> is the first 8 hex chars of the MD5 of the line body.  A [c]
+   line is one process's counter delta (its nonzero fields; unknown
+   names are ignored); the store's cumulative counters are their sum.
+   Appends are a single write(2) on an O_APPEND descriptor, so
+   concurrent writers interleave whole lines; a line torn by a crash
+   fails its checksum and is skipped (counted), and the record the next
+   append glued onto its end is recovered.
+
+   Every process shares one log: every line counts toward compaction,
+   whoever wrote it, and the first process to find the log more than
+   [64 + 4 × live] lines past one per live entry replaces it with a
+   snapshot (one [+] line per live entry, the counter lines folded into
+   one).  Appends hold a shared lock on [meta/lock] and a snapshot holds
+   it exclusively, re-reading the log under it, so no line lands in a
+   log that is being replaced and none is dropped by the fold. *)
 
 let index_header = "polyufc-index/v1"
 let line_crc body = String.sub (Digest.to_hex (Digest.string body)) 0 8
 
-(* --- unlocked internals: callers hold ix_mu ----------------------- *)
+type ixop =
+  [ `Add of string * string * int * int  (* key, kind, bytes, seq *)
+  | `Touch of string * int
+  | `Del of string ]
 
-let ix_close ix =
-  match ix.ix_fd with
-  | Some fd ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    ix.ix_fd <- None
-  | None -> ()
+let record_body = function
+  | `Add (key, kind, bytes, seq) ->
+    Printf.sprintf "+ %s %s %d %d" key kind bytes seq
+  | `Touch (key, seq) -> Printf.sprintf "~ %s %d" key seq
+  | `Del key -> Printf.sprintf "- %s" key
+  | `Counts c ->
+    String.concat " "
+      ("c"
+      :: List.filter_map
+           (fun (name, get, _) ->
+             if get c = 0 then None else Some (Printf.sprintf "%s=%d" name (get c)))
+           count_fields)
 
-let ix_fd t =
-  match t.ix.ix_fd with
-  | Some fd -> fd
-  | None ->
-    mkdir_p (meta_dir_of t.cache_dir);
-    let fd =
-      Unix.openfile (index_path_of t.cache_dir)
-        [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
-        0o644
-    in
-    (* a fresh index file needs its header before any record *)
-    (if (Unix.fstat fd).Unix.st_size = 0 then
-       let h = index_header ^ "\n" in
-       ignore (Unix.write_substring fd h 0 (String.length h)));
-    t.ix.ix_fd <- Some fd;
-    fd
+let record_line op =
+  let body = record_body op in
+  body ^ "#" ^ line_crc body ^ "\n"
+
+let counts_of_fields fields =
+  List.fold_left
+    (fun acc field ->
+      match (acc, String.index_opt field '=') with
+      | None, _ | _, None -> None
+      | Some c, Some i -> (
+        let name = String.sub field 0 i in
+        match int_of_string_opt (String.sub field (i + 1) (String.length field - i - 1)) with
+        | Some v when v >= 0 -> (
+          match List.find_opt (fun (n, _, _) -> n = name) count_fields with
+          | Some (_, get, set) -> Some (set c (get c + v))
+          | None -> Some c)
+        | _ -> None))
+    (Some zero_counts) fields
+
+(* a checksummed line's record, or [None] for a torn, bit-flipped or
+   unparsable one *)
+let parse_record line =
+  match String.rindex_opt line '#' with
+  | None -> None
+  | Some i -> (
+    let body = String.sub line 0 i in
+    if String.sub line (i + 1) (String.length line - i - 1) <> line_crc body then None
+    else
+      match String.split_on_char ' ' body with
+      | [ "+"; key; kind; bytes; seq ] -> (
+        match (int_of_string_opt bytes, int_of_string_opt seq) with
+        | Some b, Some s when b >= 0 -> Some (`Add (key, kind, b, s))
+        | _ -> None)
+      | [ "~"; key; seq ] -> Option.map (fun s -> `Touch (key, s)) (int_of_string_opt seq)
+      | [ "-"; key ] -> Some (`Del key)
+      | "c" :: fields -> Option.map (fun c -> `Counts c) (counts_of_fields fields)
+      | _ -> None)
+
+(* A crash mid-append leaves a line without its newline, and the next
+   append lands on the end of it.  The torn prefix is lost, but the
+   record that follows it is whole: the first suffix of a bad line that
+   starts like a record and passes its checksum. *)
+let salvage_record line =
+  let n = String.length line in
+  let rec from i =
+    if i >= n - 1 then None
+    else if line.[i + 1] = ' ' && String.contains "+~-c" line.[i] then
+      match parse_record (String.sub line i (n - i)) with
+      | Some _ as r -> r
+      | None -> from (i + 1)
+    else from (i + 1)
+  in
+  from 1
 
 (* apply a record to the in-memory table *)
-let ix_apply ix op =
+let ix_apply ix (op : ixop) =
   match op with
   | `Add (key, kind, bytes, seq) ->
     (match Hashtbl.find_opt ix.ix_tbl key with
@@ -537,34 +698,157 @@ let ix_apply ix op =
       Hashtbl.remove ix.ix_tbl key
     | None -> ())
 
-let record_body = function
-  | `Add (key, kind, bytes, seq) ->
-    Printf.sprintf "+ %s %s %d %d" key kind bytes seq
-  | `Touch (key, seq) -> Printf.sprintf "~ %s %d" key seq
-  | `Del key -> Printf.sprintf "- %s" key
+type log = {
+  l_ix : index;  (* the table the log's records build *)
+  l_counts : counts;  (* the sum of its counter lines *)
+  l_bad : int;  (* lines skipped for a bad checksum or shape *)
+}
 
-(* write one checksummed record; [Rcache_index_corrupt] simulates a
-   crash mid-append by tearing the line in half *)
+(* read the whole log.  A missing or wrong header makes it [`Corrupt],
+   carrying the sum of the counter lines that still pass their
+   checksum: the entry records are rebuilt from the shard tree, but the
+   store's counter history exists nowhere else. *)
+let read_log dir =
+  match open_in_bin (index_path_of dir) with
+  | exception Sys_error _ -> Error `Missing
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let ix =
+          {
+            ix_tbl = Hashtbl.create 64;
+            ix_bytes = 0;
+            ix_seq = 0;
+            ix_lines = 0;
+          }
+        in
+        let counts = ref zero_counts and bad = ref 0 in
+        let record line =
+          (* two appenders racing to create the log both write the
+             header: the second copy is no record *)
+          if String.trim line <> "" && line <> index_header then begin
+            ix.ix_lines <- ix.ix_lines + 1;
+            let r =
+              match parse_record line with
+              | Some _ as r -> r
+              | None ->
+                incr bad;
+                salvage_record line
+            in
+            match r with
+            | Some (`Counts c) -> counts := add_counts !counts c
+            | Some (#ixop as op) -> ix_apply ix op
+            | None -> ()
+          end
+        in
+        let header_ok =
+          match input_line ic with
+          | exception End_of_file -> false
+          | header when header = index_header -> true
+          | first ->
+            record first;
+            false
+        in
+        (try
+           while true do
+             record (input_line ic)
+           done
+         with End_of_file -> ());
+        if header_ok then Ok { l_ix = ix; l_counts = !counts; l_bad = !bad }
+        else Error (`Corrupt !counts))
+
+(* the counter lines of whatever the log holds *)
+let log_counts = function
+  | Ok log -> log.l_counts
+  | Error (`Corrupt counts) -> counts
+  | Error `Missing -> zero_counts
+
+(* take the log's table as this handle's *)
+let ix_adopt ix log =
+  ix.ix_tbl <- log.l_ix.ix_tbl;
+  ix.ix_bytes <- log.l_ix.ix_bytes;
+  ix.ix_seq <- max ix.ix_seq log.l_ix.ix_seq;
+  ix.ix_lines <- log.l_ix.ix_lines
+
+(* Appends and snapshots take [meta/lock] (shared / exclusive); POSIX
+   locks never conflict within one process, so [log_mu] orders this
+   process's own lock holders.  Closing the descriptor drops the lock. *)
+let log_mu = Mutex.create ()
+
+(* [~best_effort] runs [f] unlocked when the lock file cannot be
+   opened (a store directory this process may not write): [f]'s own
+   writes then fail the same way, and reading needs no lock *)
+let with_log_lock ?(best_effort = false) dir mode f =
+  Mutex.protect log_mu @@ fun () ->
+  let path = lock_path_of dir in
+  let flags = [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] in
+  match
+    try Unix.openfile path flags 0o644
+    with Unix.Unix_error (Unix.ENOENT, _, _) ->
+      mkdir_p (meta_dir_of dir);
+      Unix.openfile path flags 0o644
+  with
+  | exception Unix.Unix_error _ when best_effort -> f ()
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.lockf fd (match mode with `Shared -> Unix.F_RLOCK | `Exclusive -> Unix.F_LOCK) 0;
+        f ())
+
+(* append one line in one write(2); the caller holds [meta/lock] *)
+let append_line_locked dir line =
+  let fd =
+    Unix.openfile (index_path_of dir)
+      [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+      0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      (* a fresh log needs its header before any record *)
+      let text =
+        if (Unix.fstat fd).Unix.st_size = 0 then index_header ^ "\n" ^ line
+        else line
+      in
+      ignore (Unix.write_substring fd text 0 (String.length text)))
+
+(* append one record under the shared lock; [Rcache_index_corrupt]
+   simulates a crash mid-append of an entry record by tearing it in
+   half (a torn counter line would only lose counts, which no recovery
+   path restores) *)
+let append_record dir op =
+  let line = record_line op in
+  let line =
+    match op with
+    | #ixop when Faultsim.fire Faultsim.Rcache_index_corrupt ->
+      String.sub line 0 (String.length line / 2)
+    | _ -> line
+  in
+  with_log_lock dir `Shared (fun () -> append_line_locked dir line)
+
+(* --- unlocked internals: callers hold ix_mu ----------------------- *)
+
 let ix_append_unlocked t op =
   ix_apply t.ix op;
-  t.ix.ix_records <- t.ix.ix_records + 1;
-  try
-    let body = record_body op in
-    let line = body ^ "#" ^ line_crc body ^ "\n" in
-    let line =
-      if Faultsim.fire Faultsim.Rcache_index_corrupt then
-        String.sub line 0 (String.length line / 2)
-      else line
-    in
-    let fd = ix_fd t in
-    ignore (Unix.write_substring fd line 0 (String.length line))
+  t.ix.ix_lines <- t.ix.ix_lines + 1;
+  try append_record t.cache_dir op
   with Unix.Unix_error _ | Sys_error _ ->
     (* the index is advisory: a failed append leaves it stale, and the
-       count check on the next open rebuilds it *)
+       next cross-check against the shard tree rebuilds it *)
     ()
 
-(* rewrite the log as one record per live entry (compaction), atomically *)
-let ix_snapshot_unlocked t =
+(* lines beyond one per live entry *)
+let log_records ix = max 0 (ix.ix_lines - Hashtbl.length ix.ix_tbl)
+let compaction_due ix = log_records ix > 64 + (4 * Hashtbl.length ix.ix_tbl)
+
+(* Rewrite the log as one record per live entry plus one folded counter
+   line, atomically, under the exclusive lock.  [~compacting:true]
+   first takes in what other processes appended since this handle read
+   the log and skips the rewrite if one of them already compacted it; a
+   rebuild or a clear writes the table it holds. *)
+let write_snapshot_locked t counts =
   let ix = t.ix in
   let entries =
     Hashtbl.fold (fun k e acc -> (k, e) :: acc) ix.ix_tbl []
@@ -574,23 +858,27 @@ let ix_snapshot_unlocked t =
   Buffer.add_string buf (index_header ^ "\n");
   List.iter
     (fun (k, e) ->
-      let body = record_body (`Add (k, e.x_kind, e.x_bytes, e.x_seq)) in
-      Buffer.add_string buf body;
-      Buffer.add_char buf '#';
-      Buffer.add_string buf (line_crc body);
-      Buffer.add_char buf '\n')
+      Buffer.add_string buf (record_line (`Add (k, e.x_kind, e.x_bytes, e.x_seq))))
     entries;
+  let folded = counts <> zero_counts in
+  if folded then Buffer.add_string buf (record_line (`Counts counts));
+  Io.write_atomic ~fsync:false (index_path_of t.cache_dir) (Buffer.contents buf);
+  ix.ix_lines <- List.length entries + if folded then 1 else 0
+
+let ix_snapshot_unlocked ?(compacting = false) t =
   try
-    mkdir_p (meta_dir_of t.cache_dir);
-    ix_close ix;
-    Io.write_atomic ~fsync:false (index_path_of t.cache_dir)
-      (Buffer.contents buf);
-    ix.ix_records <- 0
+    with_log_lock t.cache_dir `Exclusive (fun () ->
+        let log = read_log t.cache_dir in
+        (match log with Ok log when compacting -> ix_adopt t.ix log | _ -> ());
+        if (not compacting) || compaction_due t.ix then
+          write_snapshot_locked t (log_counts log))
   with Unix.Unix_error _ | Sys_error _ -> ()
 
 (* every entry file under the shard tree (and any flat stragglers),
    with its path — the ground truth the index approximates *)
-let scan_entries dir =
+let scan_entries t =
+  bump c_tree_scan t.live.l_tree_scans;
+  let dir = t.cache_dir in
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | names ->
@@ -614,9 +902,10 @@ let scan_entries dir =
         else acc)
       [] names
 
-(* full rebuild: stat + parse every entry to recover kind/bytes, order
-   last-use by mtime so GC age survives the rebuild *)
-let ix_rebuild_unlocked t =
+(* full rebuild from the scanned entries: stat + parse each to recover
+   kind/bytes, order last-use by mtime so GC age survives the rebuild;
+   the caller holds [meta/lock] exclusively *)
+let ix_rebuild_locked t scanned counts =
   bump c_index_rebuild t.live.l_index_rebuilds;
   Telemetry.Event.warn "rcache.index_rebuild"
     ~fields:[ ("dir", J.Str t.cache_dir) ];
@@ -642,7 +931,7 @@ let ix_rebuild_unlocked t =
                 | _ -> kind_numeric))
           in
           Some (key, kind, st.Unix.st_size, st.Unix.st_mtime))
-      (scan_entries t.cache_dir)
+      scanned
     |> List.sort (fun (_, _, _, a) (_, _, _, b) -> compare a b)
   in
   List.iter
@@ -650,64 +939,10 @@ let ix_rebuild_unlocked t =
       ix.ix_seq <- ix.ix_seq + 1;
       ix_apply ix (`Add (key, kind, bytes, ix.ix_seq)))
     entries;
-  ix_snapshot_unlocked t
-
-let ix_load_unlocked t =
-  let ix = t.ix in
-  let path = index_path_of t.cache_dir in
-  let corrupt = ref (Faultsim.fire Faultsim.Rcache_index_corrupt) in
-  (if not !corrupt then
-     match open_in_bin path with
-     | exception Sys_error _ -> corrupt := true (* missing: rebuild below *)
-     | ic ->
-       Fun.protect
-         ~finally:(fun () -> close_in_noerr ic)
-         (fun () ->
-           match input_line ic with
-           | exception End_of_file -> corrupt := true
-           | header when header <> index_header -> corrupt := true
-           | _ -> (
-             try
-               while true do
-                 let line = input_line ic in
-                 match String.rindex_opt line '#' with
-                 | None ->
-                   if String.trim line <> "" then
-                     bump c_index_bad_line t.live.l_index_bad_lines
-                 | Some i ->
-                   let body = String.sub line 0 i in
-                   let crc = String.sub line (i + 1) (String.length line - i - 1) in
-                   if crc <> line_crc body then
-                     bump c_index_bad_line t.live.l_index_bad_lines
-                   else begin
-                     match String.split_on_char ' ' body with
-                     | [ "+"; key; kind; bytes; seq ] -> (
-                       match (int_of_string_opt bytes, int_of_string_opt seq) with
-                       | Some b, Some s when b >= 0 ->
-                         ix_apply ix (`Add (key, kind, b, s))
-                       | _ -> bump c_index_bad_line t.live.l_index_bad_lines)
-                     | [ "~"; key; seq ] -> (
-                       match int_of_string_opt seq with
-                       | Some s -> ix_apply ix (`Touch (key, s))
-                       | None -> bump c_index_bad_line t.live.l_index_bad_lines)
-                     | [ "-"; key ] -> ix_apply ix (`Del key)
-                     | _ -> bump c_index_bad_line t.live.l_index_bad_lines
-                   end
-               done
-             with End_of_file -> ())));
-  (* cross-check against the shard tree: a crash between a file
-     operation and its index record leaves the counts disagreeing *)
-  let on_disk = List.length (scan_entries t.cache_dir) in
-  if !corrupt || Hashtbl.length ix.ix_tbl <> on_disk then begin
-    Hashtbl.reset ix.ix_tbl;
-    ix.ix_bytes <- 0;
-    (* a fresh store (no index file, no entries) is not a rebuild *)
-    if on_disk > 0 || (not !corrupt) || Sys.file_exists path then
-      ix_rebuild_unlocked t
-  end
+  write_snapshot_locked t counts
 
 (* ------------------------------------------------------------------ *)
-(* Open: flat -> sharded migration, then index load                    *)
+(* Open: index load; the shard-tree cross-check runs later, once       *)
 (* ------------------------------------------------------------------ *)
 
 let migrate_flat_unlocked t =
@@ -736,22 +971,102 @@ let migrate_flat_unlocked t =
         else n)
       0 names
 
+(* A store written before the counter lines keeps its totals in
+   [meta/counters.json] (v1 and v2 documents: folding over whatever
+   fields are present reads both); the cross-check folds them into the
+   log once and removes the file.  Read without the fault sites: a
+   simulated bad read here would be folded in for good. *)
+let sidecar_path dir = Filename.concat (meta_dir_of dir) "counters.json"
+
+let sidecar_counts dir =
+  match In_channel.with_open_bin (sidecar_path dir) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text ->
+    Some
+      (match J.of_string text with
+      | Ok doc ->
+        List.fold_left
+          (fun c (name, _, set) ->
+            match J.member name doc with
+            | Some (J.Int v) when v >= 0 -> set c v
+            | _ -> c)
+          zero_counts count_fields
+      | Error _ -> zero_counts)
+
+(* The cross-check against the shard tree: the flat → sharded
+   migration, then a count of the entry files.  A crash between a file
+   operation and its index record leaves the counts disagreeing, and a
+   rebuild repairs it.  It walks the whole tree, so it runs once per
+   handle, before the first operation that reads or rewrites the index
+   totals (store, stats, gc, a snapshot): a process that only finds
+   never walks the tree.  It holds [meta/lock] exclusively and first
+   re-reads the log, so what other processes stored since this handle
+   opened is neither taken for crash damage nor dropped by a rewrite.
+   [~force] rebuilds whatever the counts say (an unreadable log); a
+   fresh store (no log, no entries) is no rebuild. *)
+let ix_check_unlocked ?(force = false) t =
+  if force || not t.checked then begin
+    if not t.checked then begin
+      t.checked <- true;
+      let migrated = migrate_flat_unlocked t in
+      t.last_migrated <- migrated;
+      if migrated > 0 then
+        Telemetry.Event.info "rcache.migrated"
+          ~fields:[ ("dir", J.Str t.cache_dir); ("entries", J.Int migrated) ]
+    end;
+    let dir = t.cache_dir in
+    try
+      with_log_lock ~best_effort:true dir `Exclusive (fun () ->
+          let log = read_log dir in
+          (match log with Ok log -> ix_adopt t.ix log | Error _ -> ());
+          let legacy = sidecar_counts dir in
+          let scanned = scan_entries t in
+          let fresh = scanned = [] && (match log with Error `Missing -> true | _ -> false) in
+          if (force || Hashtbl.length t.ix.ix_tbl <> List.length scanned) && not fresh
+          then
+            ix_rebuild_locked t scanned
+              (add_counts (log_counts log) (Option.value legacy ~default:zero_counts))
+          else (
+            match legacy with
+            | Some c when c <> zero_counts ->
+              append_line_locked dir (record_line (`Counts c));
+              t.ix.ix_lines <- t.ix.ix_lines + 1
+            | _ -> ());
+          (* a crash before this removal counts the old totals twice;
+             removing first would risk losing them *)
+          if legacy <> None then Sys.remove (sidecar_path dir))
+    with Unix.Unix_error _ | Sys_error _ -> ()
+  end
+
+let ix_compact_unlocked t =
+  ix_check_unlocked t;
+  if compaction_due t.ix then ix_snapshot_unlocked ~compacting:true t
+
+let ix_load_unlocked t =
+  match
+    if Faultsim.fire Faultsim.Rcache_index_corrupt then Error (`Corrupt zero_counts)
+    else read_log t.cache_dir
+  with
+  | Ok log ->
+    ix_adopt t.ix log;
+    ignore (Atomic.fetch_and_add t.live.l_index_bad_lines log.l_bad);
+    Telemetry.add c_index_bad_line log.l_bad;
+    if compaction_due t.ix then ix_compact_unlocked t
+  | Error `Missing -> () (* the cross-check rebuilds if entries exist *)
+  | Error (`Corrupt _) -> ix_check_unlocked ~force:true t
+
 let open_store t =
   if not (Atomic.get t.opened) then
     Mutex.protect t.open_mu (fun () ->
         if not (Atomic.get t.opened) then begin
-          Mutex.protect t.ix.ix_mu (fun () ->
-              let migrated = migrate_flat_unlocked t in
-              t.last_migrated <- migrated;
-              if migrated > 0 then
-                Telemetry.Event.info "rcache.migrated"
-                  ~fields:
-                    [
-                      ("dir", J.Str t.cache_dir); ("entries", J.Int migrated);
-                    ];
-              ix_load_unlocked t);
+          Mutex.protect t.ix_mu (fun () -> ix_load_unlocked t);
           Atomic.set t.opened true
         end)
+
+(* open, then cross-check: every operation on the index totals *)
+let open_checked t =
+  open_store t;
+  Mutex.protect t.ix_mu (fun () -> ix_check_unlocked t)
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine (bounded)                                                *)
@@ -804,7 +1119,7 @@ let quarantine t path why =
   prune_quarantine t;
   (* the slot is gone from disk; keep the index in agreement *)
   let key = Filename.chop_suffix (Filename.basename path) ".json" in
-  Mutex.protect t.ix.ix_mu (fun () ->
+  Mutex.protect t.ix_mu (fun () ->
       if Hashtbl.mem t.ix.ix_tbl key then ix_append_unlocked t (`Del key))
 
 (* ------------------------------------------------------------------ *)
@@ -863,13 +1178,11 @@ let flip_read_only t =
       t.cache_dir
   end
 
-let compaction_due ix = ix.ix_records > 64 + (4 * Hashtbl.length ix.ix_tbl)
-
 (* forward declaration to let [store] trigger the opportunistic GC *)
 let rec_gc = ref (fun ?float_goal:(_ : float option) (_ : t) -> ())
 
 let over_watermark t =
-  Mutex.protect t.ix.ix_mu (fun () ->
+  Mutex.protect t.ix_mu (fun () ->
       (match t.max_bytes with
       | Some wm -> t.ix.ix_bytes > wm
       | None -> false)
@@ -879,7 +1192,9 @@ let over_watermark t =
       | None -> false)
 
 let store ?kind t key payload =
-  open_store t;
+  (* cross-check before writing: a check between the file and its
+     record would see the new file as a crash's leftover *)
+  open_checked t;
   (* the memory tier takes every store, even when the disk is full or
      gone: a daemon on a dead disk keeps its working set warm *)
   (match t.mem with
@@ -921,10 +1236,10 @@ let store ?kind t key payload =
     | () ->
       bump c_store t.live.l_stores;
       let kind = Option.value kind ~default:kind_numeric in
-      Mutex.protect t.ix.ix_mu (fun () ->
+      Mutex.protect t.ix_mu (fun () ->
           t.ix.ix_seq <- t.ix.ix_seq + 1;
           ix_append_unlocked t (`Add (key, kind, String.length text, t.ix.ix_seq));
-          if compaction_due t.ix then ix_snapshot_unlocked t);
+          if compaction_due t.ix then ix_compact_unlocked t);
       if over_watermark t then !rec_gc ~float_goal:0.875 t
     | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> flip_read_only t
     | exception (Sys_error msg | Unix.Unix_error (_, msg, _)) ->
@@ -938,11 +1253,11 @@ let store ?kind t key payload =
 (* ------------------------------------------------------------------ *)
 
 let touch t key =
-  Mutex.protect t.ix.ix_mu (fun () ->
+  Mutex.protect t.ix_mu (fun () ->
       if Hashtbl.mem t.ix.ix_tbl key then begin
         t.ix.ix_seq <- t.ix.ix_seq + 1;
         ix_append_unlocked t (`Touch (key, t.ix.ix_seq));
-        if compaction_due t.ix then ix_snapshot_unlocked t
+        if compaction_due t.ix then ix_compact_unlocked t
       end)
 
 let mem_put t key payload =
@@ -1053,13 +1368,13 @@ let find_or_add ?kind t ~key ~decode ~encode f =
 type stats = { entries : int; bytes : int }
 
 let stats t =
-  open_store t;
-  Mutex.protect t.ix.ix_mu (fun () ->
+  open_checked t;
+  Mutex.protect t.ix_mu (fun () ->
       { entries = Hashtbl.length t.ix.ix_tbl; bytes = t.ix.ix_bytes })
 
 let stats_by_kind t =
-  open_store t;
-  Mutex.protect t.ix.ix_mu (fun () ->
+  open_checked t;
+  Mutex.protect t.ix_mu (fun () ->
       let tbl = Hashtbl.create 4 in
       Hashtbl.iter
         (fun _ e ->
@@ -1083,28 +1398,28 @@ let mem_stats t =
 type index_health = {
   indexed_entries : int;
   indexed_bytes : int;
-  log_records : int;  (* appended since the last snapshot *)
-  migrated : int;  (* flat entries moved by this handle's open *)
+  log_records : int;  (* log lines beyond one per live entry *)
+  migrated : int;  (* flat entries moved by this handle's check *)
 }
 
 let index_health t =
-  open_store t;
-  Mutex.protect t.ix.ix_mu (fun () ->
+  open_checked t;
+  Mutex.protect t.ix_mu (fun () ->
       {
         indexed_entries = Hashtbl.length t.ix.ix_tbl;
         indexed_bytes = t.ix.ix_bytes;
-        log_records = t.ix.ix_records;
+        log_records = log_records t.ix;
         migrated = t.last_migrated;
       })
 
 let migrate t =
-  open_store t;
+  open_checked t;
   t.last_migrated
 
 let clear t =
   open_store t;
   (match t.mem with Some m -> Mem.clear m | None -> ());
-  Mutex.protect t.ix.ix_mu (fun () ->
+  Mutex.protect t.ix_mu (fun () ->
       let removed =
         List.fold_left
           (fun n (_, path) ->
@@ -1112,7 +1427,7 @@ let clear t =
               Sys.remove path;
               n + 1
             with Sys_error _ -> n)
-          0 (scan_entries t.cache_dir)
+          0 (scan_entries t)
       in
       Hashtbl.reset t.ix.ix_tbl;
       t.ix.ix_bytes <- 0;
@@ -1143,13 +1458,13 @@ type gc_report = {
    the open-time count check.  The opposite order could record a
    removal that never happened, silently hiding a live entry. *)
 let gc_with ?(goal = 1.0) ?max_bytes ?max_entries t =
-  open_store t;
+  open_checked t;
   let wm_bytes = match max_bytes with Some _ -> max_bytes | None -> t.max_bytes in
   let wm_entries =
     match max_entries with Some _ -> max_entries | None -> t.max_entries
   in
   let scale wm = int_of_float (goal *. float_of_int wm) in
-  Mutex.protect t.ix.ix_mu (fun () ->
+  Mutex.protect t.ix_mu (fun () ->
       let live_entries () = Hashtbl.length t.ix.ix_tbl in
       let over () =
         (match wm_bytes with
@@ -1200,7 +1515,7 @@ let gc_with ?(goal = 1.0) ?max_bytes ?max_entries t =
                evicted_bytes := !evicted_bytes + e.x_bytes)
              victims
          with Exit -> ());
-        if (not !interrupted) && compaction_due t.ix then ix_snapshot_unlocked t;
+        if (not !interrupted) && compaction_due t.ix then ix_compact_unlocked t;
         Telemetry.Event.info "rcache.gc"
           ~fields:
             [
@@ -1232,106 +1547,13 @@ let () =
 
 (* The process counters die with the process, so a later
    [polyufc cache stats] would always report zeros.  On exit, a process
-   that touched a cache merges each directory's counters into that
-   directory's sidecar at [<dir>/meta/counters.json].  [cumulative] =
-   sidecar + the current process, giving hit-rate numbers that survive
-   restarts. *)
-
-let counters_sidecar dir = Filename.concat (meta_dir_of dir) "counters.json"
-
-let count_fields =
-  [
-    ("hits", (fun c -> c.hits), fun c v -> { c with hits = v });
-    ("misses", (fun c -> c.misses), fun c v -> { c with misses = v });
-    ("stores", (fun c -> c.stores), fun c v -> { c with stores = v });
-    ("corrupt", (fun c -> c.corrupt), fun c v -> { c with corrupt = v });
-    ( "quarantined",
-      (fun c -> c.quarantined),
-      fun c v -> { c with quarantined = v } );
-    ( "write_retries",
-      (fun c -> c.write_retries),
-      fun c v -> { c with write_retries = v } );
-    ( "readonly_flips",
-      (fun c -> c.readonly_flips),
-      fun c v -> { c with readonly_flips = v } );
-    ("mem_hits", (fun c -> c.mem_hits), fun c v -> { c with mem_hits = v });
-    ("disk_hits", (fun c -> c.disk_hits), fun c v -> { c with disk_hits = v });
-    ( "upstream_hits",
-      (fun c -> c.upstream_hits),
-      fun c v -> { c with upstream_hits = v } );
-    ("promotions", (fun c -> c.promotions), fun c v -> { c with promotions = v });
-    ("evictions", (fun c -> c.evictions), fun c v -> { c with evictions = v });
-    ( "mem_evictions",
-      (fun c -> c.mem_evictions),
-      fun c v -> { c with mem_evictions = v } );
-    ("gc_runs", (fun c -> c.gc_runs), fun c v -> { c with gc_runs = v });
-    ("gc_crashes", (fun c -> c.gc_crashes), fun c v -> { c with gc_crashes = v });
-    ("migrated", (fun c -> c.migrated), fun c v -> { c with migrated = v });
-    ( "index_rebuilds",
-      (fun c -> c.index_rebuilds),
-      fun c v -> { c with index_rebuilds = v } );
-    ( "index_bad_lines",
-      (fun c -> c.index_bad_lines),
-      fun c v -> { c with index_bad_lines = v } );
-    ( "quarantine_dropped",
-      (fun c -> c.quarantine_dropped),
-      fun c v -> { c with quarantine_dropped = v } );
-  ]
-
-let zero_counts =
-  {
-    hits = 0;
-    misses = 0;
-    stores = 0;
-    corrupt = 0;
-    quarantined = 0;
-    write_retries = 0;
-    readonly_flips = 0;
-    mem_hits = 0;
-    disk_hits = 0;
-    upstream_hits = 0;
-    promotions = 0;
-    evictions = 0;
-    mem_evictions = 0;
-    gc_runs = 0;
-    gc_crashes = 0;
-    migrated = 0;
-    index_rebuilds = 0;
-    index_bad_lines = 0;
-    quarantine_dropped = 0;
-  }
-
-let live_pairs l =
-  [
-    ((fun c v -> { c with hits = v }), l.l_hits);
-    ((fun c v -> { c with misses = v }), l.l_misses);
-    ((fun c v -> { c with stores = v }), l.l_stores);
-    ((fun c v -> { c with corrupt = v }), l.l_corrupt);
-    ((fun c v -> { c with quarantined = v }), l.l_quarantined);
-    ((fun c v -> { c with write_retries = v }), l.l_write_retries);
-    ((fun c v -> { c with readonly_flips = v }), l.l_readonly_flips);
-    ((fun c v -> { c with mem_hits = v }), l.l_mem_hits);
-    ((fun c v -> { c with disk_hits = v }), l.l_disk_hits);
-    ((fun c v -> { c with upstream_hits = v }), l.l_upstream_hits);
-    ((fun c v -> { c with promotions = v }), l.l_promotions);
-    ((fun c v -> { c with evictions = v }), l.l_evictions);
-    ((fun c v -> { c with mem_evictions = v }), l.l_mem_evictions);
-    ((fun c v -> { c with gc_runs = v }), l.l_gc_runs);
-    ((fun c v -> { c with gc_crashes = v }), l.l_gc_crashes);
-    ((fun c v -> { c with migrated = v }), l.l_migrated);
-    ((fun c v -> { c with index_rebuilds = v }), l.l_index_rebuilds);
-    ((fun c v -> { c with index_bad_lines = v }), l.l_index_bad_lines);
-    ((fun c v -> { c with quarantine_dropped = v }), l.l_quarantine_dropped);
-  ]
-
-let snapshot_live l =
-  List.fold_left (fun c (set, a) -> set c (Atomic.get a)) zero_counts
-    (live_pairs l)
-
-let add_counts a b =
-  List.fold_left
-    (fun c (_, get, set) -> set c (get a + get b))
-    zero_counts count_fields
+   that touched a cache appends each directory's counters to that
+   directory's index log as one [c] line, and compaction folds those
+   lines into one.  Appends never read what other processes wrote, so
+   concurrent flushes lose nothing.  [cumulative] = the log's counter
+   lines (a parent-written [meta/counters.json] among them once the
+   cross-check has folded it in) + the current process, giving hit-rate
+   numbers that survive restarts. *)
 
 let counts_for t = snapshot_live t.live
 
@@ -1340,35 +1562,17 @@ let counts () =
       Hashtbl.fold (fun _ l acc -> add_counts acc (snapshot_live l)) registry
         zero_counts)
 
-let json_of_counts c =
-  J.Obj
-    (("schema", J.Str "polyufc-cache-counters/v2")
-    :: List.map (fun (name, get, _) -> (name, J.Int (get c))) count_fields)
+let count_list c = List.map (fun (name, get, _) -> (name, get c)) count_fields
 
-(* v1 sidecars (pre-tiering) simply lack the new fields; folding over
-   whatever fields are present reads both versions *)
-let counts_of_json doc =
-  List.fold_left
-    (fun c (name, _, set) ->
-      match J.member name doc with
-      | Some (J.Int v) when v >= 0 -> set c v
-      | _ -> c)
-    zero_counts count_fields
-
-let saved_counts dir =
-  match read_file (counters_sidecar dir) with
-  | exception (Sys_error _ | Unix.Unix_error _) -> zero_counts
-  | text -> (
-    match J.of_string text with
-    | Ok doc -> counts_of_json doc
-    | Error _ -> zero_counts)
-
-let cumulative t = add_counts (saved_counts t.cache_dir) (counts_for t)
+let cumulative t =
+  (* the cross-check folds a parent-written [counters.json] into the log *)
+  open_checked t;
+  add_counts (log_counts (read_log t.cache_dir)) (counts_for t)
 
 let persist_mutex = Mutex.create ()
 
-(* Counters accumulated since the last flush are merged into each
-   directory's own sidecar and then subtracted from that directory's
+(* Counters accumulated since the last flush are appended to each
+   directory's own log and then subtracted from that directory's
    atomics, so flushing is safe to do repeatedly (a long-lived daemon
    flushes on drain; at_exit then only persists whatever arrived after
    that) without double counting — and a process that touched several
@@ -1383,11 +1587,7 @@ let flush_counters () =
     (fun (dir, l) ->
       let now = snapshot_live l in
       if now <> zero_counts then begin
-        (try
-           mkdir_p (meta_dir_of dir);
-           Io.write_atomic ~fsync:false (counters_sidecar dir)
-             (J.to_string (json_of_counts (add_counts (saved_counts dir) now))
-             ^ "\n")
+        (try append_record dir (`Counts now)
          with Sys_error _ | Unix.Unix_error _ -> ());
         (* subtract exactly what was persisted; increments racing this
            flush survive in the atomics for the next one *)

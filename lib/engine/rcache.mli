@@ -20,12 +20,21 @@
     entries.
 
     A compact append-only index at [<dir>/meta/index] tracks every live
-    entry (kind, size, last-use order), so {!stats}, {!stats_by_kind}
-    and the garbage collector never re-scan the entry tree.  Every index
-    line carries a checksum; a missing, torn or corrupt index — or one
-    that disagrees with the shard tree after a crash — is rebuilt from
-    the tree: counted, never fatal.  The index is an accelerator; the
-    shard tree is the truth.
+    entry (kind, size, last-use order) and the store's cumulative
+    counters, so {!stats}, {!stats_by_kind} and the garbage collector
+    never re-scan the entry tree.  Every process appends to the same
+    log and every line counts toward compaction, so the first process
+    that finds the log more than [64 + 4 × live] lines past one per
+    live entry rewrites it as a snapshot: a short-lived process reads a
+    log bounded by the live entry count, whatever the store's history.
+    Every index line carries a checksum; a missing, torn or corrupt
+    index — or one that disagrees with the shard tree after a crash —
+    is rebuilt from the tree: counted, never fatal.  That cross-check
+    walks the tree once per handle, before its first {!store},
+    {!stats}, {!gc}, {!cumulative} or snapshot, holding the log's lock
+    and re-reading the log first, so what other processes stored since
+    the open is no crash damage; a handle that only finds never walks
+    it.  The index is an accelerator; the shard tree is the truth.
 
     {!gc} evicts least-recently-used entries until the store fits under
     [--cache-max-bytes] / [--cache-max-entries] (also read from
@@ -141,8 +150,9 @@ val find_or_add :
 type stats = { entries : int; bytes : int }
 
 val stats : t -> stats
-(** Live entries and bytes in the on-disk tier, from the index — no
-    entry scan. *)
+(** Live entries and bytes in the on-disk tier, from the index (after
+    the handle's one count cross-check against the shard tree; no entry
+    is read unless that check rebuilds the index). *)
 
 val kind_numeric : string
 (** ["numeric/v2"]: the implicit kind of untagged analysis entries. *)
@@ -177,8 +187,11 @@ val mem_stats : t -> stats
 type index_health = {
   indexed_entries : int;
   indexed_bytes : int;
-  log_records : int;  (** index records appended since the last snapshot *)
-  migrated : int;  (** flat entries sharded by this handle's open *)
+  log_records : int;
+      (** index log lines beyond one per live entry, whoever wrote them;
+          compaction keeps it at most [64 + 4 × live] (plus the lines
+          appended since the last check) *)
+  migrated : int;  (** flat entries sharded by this handle's check *)
 }
 
 val index_health : t -> index_health
@@ -186,9 +199,11 @@ val index_health : t -> index_health
     open migrated a flat layout. *)
 
 val migrate : t -> int
-(** Force the open (and with it the flat→sharded migration) now; returns
-    how many flat entries were moved by this handle.  Opening is
-    idempotent: a second call returns the same number without I/O. *)
+(** Run the open and the shard-tree cross-check (and with it the
+    flat→sharded migration) now; returns how many flat entries were
+    moved by this handle.  The check runs once per handle: a second
+    call returns the same number without I/O.  Until it runs, a flat
+    entry is still found at its flat path. *)
 
 type gc_report = {
   examined : int;  (** live entries considered *)
@@ -230,6 +245,7 @@ type counts = {
   index_rebuilds : int;
   index_bad_lines : int;  (** index lines skipped for a bad checksum *)
   quarantine_dropped : int;  (** old quarantine files pruned *)
+  tree_scans : int;  (** walks of the shard tree (cross-checks, clears) *)
 }
 
 val counts : unit -> counts
@@ -241,9 +257,14 @@ val counts_for : t -> counts
 (** Like {!counts}, but only the events attributed to this store's
     directory. *)
 
+val count_list : counts -> (string * int) list
+(** Every field by its name, in declaration order. *)
+
 val flush_counters : unit -> unit
-(** Merge the process counters accumulated since the last flush into
-    each touched cache directory's own persisted sidecar, then zero them
+(** Append the process counters accumulated since the last flush to
+    each touched cache directory's own index log (one checksummed line
+    in one [write(2)], so concurrent flushes from several processes
+    never lose each other's counts), then zero them
     — so flushing repeatedly (or flushing and then exiting, where an
     [at_exit] flush also runs) never double-counts, and a process that
     touched several stores attributes each event to the directory it
@@ -254,8 +275,12 @@ val flush_counters : unit -> unit
 val cumulative : t -> counts
 (** This directory's counters from the current process plus those
     persisted by previous processes that used the same cache directory.
-    A process that touched a cache merges its counters into
-    [<dir>/meta/counters.json] at exit (the sidecar lives under [meta/],
-    outside the entry namespace, so {!stats} and {!clear} ignore it),
-    which is what lets [polyufc cache stats] report hit rates without
-    having run the analysis itself. *)
+    A process that touched a cache appends its counters to the index
+    log at exit; compaction folds those lines into one, and a line that
+    fails its checksum is skipped (counted in [index_bad_lines] by the
+    processes that load it); a rebuild after a bad log header keeps the
+    counter lines that still check.  Stores written before the counter
+    lines keep their totals in [<dir>/meta/counters.json]: this call
+    runs the handle's cross-check, which appends them to the log as one
+    counter line and removes the file.  This is what lets [polyufc cache stats]
+    report hit rates without having run the analysis itself. *)

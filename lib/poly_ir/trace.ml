@@ -20,7 +20,13 @@ type stmt_info = {
 type loop_info = { l_var : string; l_depth : int; l_parallel : bool }
 type tables = { stmts : stmt_info array; loops : loop_info array }
 
-type summary = { layout : Layout.t; instances : int; flops : int; accesses : int }
+type summary = {
+  layout : Layout.t;
+  instances : int;
+  flops : int;
+  accesses : int;
+  below_layout : bool;
+}
 
 (* loads of an expression in evaluation order *)
 let rec loads = function
@@ -162,6 +168,9 @@ let scan prog ~param_values ~on_chunk =
   let stack = Array.make (max 1 (max_depth prog)) 0 in
   let em = { buf = [||]; len = 0; chunks = 0; on_chunk } in
   let instances = ref 0 and flops = ref 0 and accesses = ref 0 in
+  (* the [lor] of every code whose sign is checked: negative iff some
+     access addressed a byte below the layout *)
+  let signs = ref 0 in
   let burst = ref 1 in
   let next_stmt = ref 0 and next_loop = ref 0 in
   (* a statement instance's events, each a form and a kind: the
@@ -245,7 +254,11 @@ let scan prog ~param_values ~on_chunk =
             let trips = ((hi - lo - 1) / step) + 1 in
             stack.(slot) <- lo;
             for e = 0 to n_ev - 1 do
-              codes.(e) <- code_of events.(e)
+              let c = code_of events.(e) in
+              codes.(e) <- c;
+              (* affine in the loop variable: an event's lowest code is
+                 at its first or its last iteration *)
+              signs := !signs lor c lor (c + ((trips - 1) * deltas.(e)))
             done;
             for _ = 1 to trips do
               let buf = em.buf and len = em.len in
@@ -285,7 +298,9 @@ let scan prog ~param_values ~on_chunk =
       let n_accs = Array.length events - 1 in
       fun () ->
         for e = 0 to n_accs do
-          push em (code_of events.(e))
+          let c = code_of events.(e) in
+          signs := !signs lor c;
+          push em c
         done;
         check em;
         incr instances;
@@ -299,4 +314,10 @@ let scan prog ~param_values ~on_chunk =
   (* bulk-report: the producer itself stays telemetry-free *)
   Telemetry.add c_accesses !accesses;
   Telemetry.add c_chunks em.chunks;
-  { layout; instances = !instances; flops = !flops; accesses = !accesses }
+  {
+    layout;
+    instances = !instances;
+    flops = !flops;
+    accesses = !accesses;
+    below_layout = !signs < 0;
+  }

@@ -47,6 +47,10 @@ type summary = {
   instances : int;  (** statement instances *)
   flops : int;  (** arithmetic ops (unitary model) *)
   accesses : int;  (** access events *)
+  below_layout : bool;
+      (** some access addressed a byte below the layout (a negative
+          address: an index below its array's bounds when the array is
+          laid out first) *)
 }
 
 val scan :

@@ -101,6 +101,9 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
       s
   in
   let on_access ~stmt ~array:_ ~addr ~bytes:_ ~is_write =
+    (* set-associative mode rejects every address below the layout, also
+       those less than a line below it, which truncate to line 0 *)
+    if mode = Set_associative && addr < 0 then invalid_arg "index out of bounds";
     gov_meter ();
     let ss = stmt_state stmt in
     (* write-through: level i+1 sees level i's misses and all writes *)

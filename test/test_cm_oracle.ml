@@ -179,6 +179,47 @@ let test_out_of_layout () =
         sa.Model.levels.(0).Model.cold)
     [ tiny; Hwsim.Machine.bdw ]
 
+(* A[i - 1] with A laid out first: byte -8, less than one line below *)
+let below_by_one_src =
+  {|
+program below1(n) {
+  arrays { A[n] : f64; B[n] : f64; }
+  for (i = 0; i < n; i++) {
+    B[i] = A[i - 1] + 1.0;
+  }
+}
+|}
+
+let test_below_by_less_than_a_line () =
+  let prog = Polylang.parse below_by_one_src in
+  let pv = [ ("n", 64) ] in
+  List.iter
+    (fun machine ->
+      (match Model.analyze ~machine prog ~param_values:pv with
+      | _ -> Alcotest.fail "byte -8 must be rejected like byte -64"
+      | exception Invalid_argument m ->
+        Alcotest.(check string) "bare bounds error" "index out of bounds" m);
+      (match Model.analyze_gov ~machine prog ~param_values:pv with
+      | _ -> Alcotest.fail "analyze_gov must reject byte -8"
+      | exception Invalid_argument m ->
+        Alcotest.(check string) "named access"
+          "statement S0 reads array A at byte address -8, below the layout \
+           (an index out of the array's bounds)"
+          m);
+      (* fully-associative mode still counts it *)
+      ignore
+        (Model.analyze ~mode:Model.Fully_associative ~machine prog
+           ~param_values:pv))
+    [ tiny; Hwsim.Machine.bdw ];
+  (* no bundled workload addresses below its layout *)
+  List.iter
+    (fun (w : Workloads.t) ->
+      let prog, param_values = reduced w in
+      let s = Poly_ir.Trace.scan prog ~param_values ~on_chunk:(fun _ _ -> ()) in
+      Alcotest.(check bool) (w.Workloads.name ^ " within its layout") false
+        s.Poly_ir.Trace.below_layout)
+    Workloads.all
+
 (* ---------- random affine loop nests ---------- *)
 
 (* A random 1–3 deep nest over parameter n.  Lower bounds are 0 or an
@@ -268,5 +309,7 @@ let tests =
       test_workloads;
     Alcotest.test_case "out-of-layout accesses == oracle" `Quick
       test_out_of_layout;
+    Alcotest.test_case "an access less than a line below the layout" `Quick
+      test_below_by_less_than_a_line;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) qcheck_tests

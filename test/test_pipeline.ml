@@ -285,6 +285,18 @@ let test_malformed_params () =
        ])
     "params.tenants[1].weight must be positive"
 
+let test_tile_size_positive () =
+  let gemm = ("workload", J.Str "gemm") in
+  List.iter
+    (fun t ->
+      bad_request "analyze"
+        (J.Obj [ gemm; ("tile_size", J.Int t) ])
+        "params.tile_size must be a positive integer";
+      bad_request "analyze_multi"
+        (J.Obj [ ("tenants", J.Arr [ J.Obj [ gemm ] ]); ("tile_size", J.Int t) ])
+        "params.tile_size must be a positive integer")
+    [ 0; -3 ]
+
 let test_unknown_workload () =
   (* an unknown workload is the program's fault, not the request's *)
   let req =
@@ -319,6 +331,8 @@ let tests =
       `Quick test_request_roundtrip;
     Alcotest.test_case "malformed params are bad_request" `Quick
       test_malformed_params;
+    Alcotest.test_case "a non-positive tile size is bad_request" `Quick
+      test_tile_size_positive;
     Alcotest.test_case "unknown workload is invalid input" `Quick
       test_unknown_workload;
   ]

@@ -443,6 +443,206 @@ let test_flush_counters_per_dir () =
   let ca2 = R.cumulative (R.create ~dir:dir_a ()) in
   Alcotest.(check int) "flush is idempotent" ca.R.hits ca2.R.hits
 
+(* ---------- the shared log: bounded history, counters, no tree walk ---------- *)
+
+let index_lines dir =
+  let ic = open_in_bin (Filename.concat (Filename.concat dir "meta") "index") in
+  let rec go n =
+    match input_line ic with
+    | _ -> go (n + 1)
+    | exception End_of_file ->
+      close_in ic;
+      n
+  in
+  go 0
+
+let test_short_lived_handles_stay_bounded () =
+  FS.suspended @@ fun () ->
+  (* each iteration is one warm process: open, one disk hit (a touch
+     record), exit flush (a counter line); the log must not keep the
+     history of every process that ever used the store *)
+  let dir = fresh_dir () in
+  let stored = populate (R.create ~dir ()) 3 in
+  R.flush_counters ();
+  let k, _ = List.hd stored in
+  for _ = 1 to 500 do
+    let c = R.create ~dir () in
+    if R.find c k = None then Alcotest.fail "warm hit lost";
+    R.flush_counters ()
+  done;
+  let live = 3 in
+  let lines = index_lines dir in
+  Alcotest.(check bool)
+    (Printf.sprintf "index log bounded (%d lines)" lines)
+    true
+    (lines <= 64 + (4 * live) + 8);
+  let c = R.create ~dir () in
+  Alcotest.(check int) "entries intact" live (R.stats c).R.entries;
+  let k = R.cumulative c in
+  Alcotest.(check int) "every hit counted across compactions" 500 k.R.hits;
+  Alcotest.(check int) "stores counted" 3 k.R.stores
+
+let test_concurrent_flushes_lose_nothing () =
+  FS.suspended @@ fun () ->
+  let dir = fresh_dir () in
+  R.store (R.create ~dir ()) (R.key [ ("t", "shared") ]) (J.Int 1);
+  R.flush_counters ();
+  let helper =
+    Filename.concat (Filename.dirname Sys.executable_name) "store_flush_helper.exe"
+  in
+  (* without the suite's background fault plan, if any *)
+  let env =
+    Array.of_list
+      (List.filter
+         (fun v -> not (String.starts_with ~prefix:"FAULTSIM=" v))
+         (Array.to_list (Unix.environment ())))
+  in
+  let spawn () =
+    Unix.create_process_env helper [| helper; dir; "1000" |] env Unix.stdin
+      Unix.stdout Unix.stderr
+  in
+  let pids = [ spawn (); spawn () ] in
+  List.iter
+    (fun pid ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "flush helper failed")
+    pids;
+  let k = R.cumulative (R.create ~dir ()) in
+  Alcotest.(check int) "2 x 1000 concurrently flushed hits" 2000 k.R.hits;
+  Alcotest.(check int) "no bad lines" 0 k.R.index_bad_lines
+
+let test_find_only_never_walks_the_tree () =
+  FS.suspended @@ fun () ->
+  let dir = fresh_dir () in
+  let stored = populate (R.create ~dir ()) 4 in
+  (* zero this directory's process counters *)
+  R.flush_counters ();
+  let c = R.create ~dir ~mem_entries:0 () in
+  List.iter
+    (fun (k, _) -> Alcotest.(check bool) "hit" true (R.find c k <> None))
+    stored;
+  Alcotest.(check bool) "a miss" true (R.find c (R.key [ ("t", "none") ]) = None);
+  Alcotest.(check int) "find-only: no tree walk" 0 (R.counts_for c).R.tree_scans;
+  Alcotest.(check int) "stats cross-checks once" 4 (R.stats c).R.entries;
+  ignore (R.stats c);
+  Alcotest.(check int) "one walk per handle" 1 (R.counts_for c).R.tree_scans
+
+let test_torn_add_rebuilt_by_stats () =
+  let dir = fresh_dir () in
+  let c = R.create ~dir ~mem_entries:0 () in
+  let k3 = R.key [ ("t", "torn") ] in
+  FS.suspended (fun () -> ignore (populate c 2));
+  (* the entry file lands whole, its index record torn mid-line *)
+  FS.with_plan (plan_of_string "rcache.index_corrupt:1:5") (fun () ->
+      R.store c k3 (payload 3));
+  FS.suspended @@ fun () ->
+  let c2 = R.create ~dir ~mem_entries:0 () in
+  let before = (R.counts_for c2).R.index_rebuilds in
+  Alcotest.(check bool) "the tree serves the entry" true (R.find c2 k3 <> None);
+  Alcotest.(check int) "a find does not cross-check" before
+    (R.counts_for c2).R.index_rebuilds;
+  Alcotest.(check int) "stats see the true census" 3 (R.stats c2).R.entries;
+  Alcotest.(check bool) "stats rebuilt the index" true
+    ((R.counts_for c2).R.index_rebuilds >= before + 1)
+
+let test_concurrent_store_is_no_crash () =
+  FS.suspended @@ fun () ->
+  (* handle A opens, another handle (a second job of a parallel build)
+     stores, then A stores: the other entry is no crash damage, and A's
+     rewrite of nothing must not drop it from the log *)
+  let dir = fresh_dir () in
+  let k0, _ = List.hd (populate (R.create ~dir ()) 1) in
+  R.flush_counters ();
+  let a = R.create ~dir ~mem_entries:0 () in
+  Alcotest.(check bool) "A opens on a hit" true (R.find a k0 <> None);
+  let kb = R.key [ ("t", "other job") ] in
+  R.store (R.create ~dir ()) kb (payload 1);
+  R.store a (R.key [ ("t", "this job") ]) (payload 2);
+  Alcotest.(check int) "no rebuild" 0 (R.counts_for a).R.index_rebuilds;
+  Alcotest.(check int) "A counts the other job's entry" 3 (R.stats a).R.entries;
+  let c = R.create ~dir () in
+  Alcotest.(check int) "the log keeps all three" 3 (R.stats c).R.entries;
+  Alcotest.(check int) "still no rebuild" 0 (R.counts_for c).R.index_rebuilds
+
+let test_bad_header_keeps_counters () =
+  FS.suspended @@ fun () ->
+  (* a rebuild replaces the entry records from the shard tree, but the
+     counter lines exist nowhere else *)
+  let dir = fresh_dir () in
+  let stored = populate (R.create ~dir ()) 3 in
+  List.iter (fun (k, _) -> ignore (R.find (R.create ~dir ()) k)) stored;
+  R.flush_counters ();
+  let index = Filename.concat (Filename.concat dir "meta") "index" in
+  let text = In_channel.with_open_bin index In_channel.input_all in
+  let body = String.sub text 16 (String.length text - 16) in
+  Out_channel.with_open_bin index (fun oc -> output_string oc ("polyufc-index/v0" ^ body));
+  let c = R.create ~dir () in
+  Alcotest.(check int) "census rebuilt" 3 (R.stats c).R.entries;
+  Alcotest.(check bool) "rebuild counted" true ((R.counts_for c).R.index_rebuilds >= 1);
+  R.flush_counters ();
+  let k = R.cumulative (R.create ~dir ()) in
+  Alcotest.(check (list int)) "hits and stores survive the rebuild" [ 3; 3 ]
+    [ k.R.hits; k.R.stores ]
+
+let test_torn_append_keeps_next_line () =
+  (* a torn record has no newline: the counter line appended after it
+     shares its line and must still count *)
+  let dir = fresh_dir () in
+  let c = R.create ~dir ~mem_entries:0 () in
+  FS.suspended (fun () -> ignore (populate c 1));
+  R.flush_counters ();
+  FS.with_plan (plan_of_string "rcache.index_corrupt:1:3") (fun () ->
+      R.store c (R.key [ ("t", "torn") ]) (payload 2);
+      R.flush_counters ());
+  FS.suspended @@ fun () ->
+  let k = R.cumulative (R.create ~dir ()) in
+  Alcotest.(check int) "both stores counted" 2 k.R.stores;
+  Alcotest.(check bool) "the torn record counted as bad" true (k.R.index_bad_lines >= 1)
+
+let test_parent_store_keeps_its_totals () =
+  FS.suspended @@ fun () ->
+  (* a store as the previous release left it: index records only, the
+     cumulative counters in meta/counters.json *)
+  let dir = fresh_dir () in
+  let stored = populate (R.create ~dir ()) 2 in
+  R.flush_counters ();
+  let meta = Filename.concat dir "meta" in
+  let write name text =
+    let oc = open_out_bin (Filename.concat meta name) in
+    output_string oc text;
+    close_out oc
+  in
+  let line body =
+    body ^ "#" ^ String.sub (Digest.to_hex (Digest.string body)) 0 8 ^ "
+"
+  in
+  write "index"
+    ("polyufc-index/v1
+"
+    ^ String.concat ""
+        (List.mapi
+           (fun i (k, _) ->
+             let bytes = (Unix.stat (R.entry_path (R.create ~dir ()) k)).Unix.st_size in
+             line (Printf.sprintf "+ %s numeric/v2 %d %d" k bytes (i + 1)))
+           stored)
+    ^ line (Printf.sprintf "~ %s 3" (fst (List.hd stored))));
+  (try Sys.remove (Filename.concat meta "lock") with Sys_error _ -> ());
+  write "counters.json"
+    "{\"schema\":\"polyufc-cache-counters/v2\",\"hits\":7,\"misses\":3,\"stores\":2}\n";
+  let c = R.create ~dir () in
+  let k = R.cumulative c in
+  Alcotest.(check (list int)) "sidecar totals read" [ 7; 3; 2 ]
+    [ k.R.hits; k.R.misses; k.R.stores ];
+  List.iter (fun (k, _) -> ignore (R.find c k)) stored;
+  Alcotest.(check int) "entries intact, no rebuild" 2 (R.stats c).R.entries;
+  Alcotest.(check int) "no rebuild" 0 (R.counts_for c).R.index_rebuilds;
+  Alcotest.(check bool) "the sidecar is folded into the log" false
+    (Sys.file_exists (Filename.concat meta "counters.json"));
+  R.flush_counters ();
+  let k = R.cumulative (R.create ~dir ()) in
+  Alcotest.(check int) "sidecar + appended hits" 9 k.R.hits
+
 let tests =
   [
     Alcotest.test_case "sharded entry layout" `Quick test_sharded_layout;
@@ -474,4 +674,20 @@ let tests =
       test_quarantine_bounded;
     Alcotest.test_case "counters flush to each directory's own sidecar" `Quick
       test_flush_counters_per_dir;
+    Alcotest.test_case "log: 500 short-lived handles stay bounded" `Quick
+      test_short_lived_handles_stay_bounded;
+    Alcotest.test_case "log: concurrent counter flushes lose nothing" `Quick
+      test_concurrent_flushes_lose_nothing;
+    Alcotest.test_case "log: a find-only handle never walks the tree" `Quick
+      test_find_only_never_walks_the_tree;
+    Alcotest.test_case "log: a torn + append is rebuilt by stats" `Quick
+      test_torn_add_rebuilt_by_stats;
+    Alcotest.test_case "log: a concurrent store is no crash damage" `Quick
+      test_concurrent_store_is_no_crash;
+    Alcotest.test_case "log: a bad header keeps the counter lines" `Quick
+      test_bad_header_keeps_counters;
+    Alcotest.test_case "log: a torn append keeps the next line" `Quick
+      test_torn_append_keeps_next_line;
+    Alcotest.test_case "log: a parent-written store keeps its totals" `Quick
+      test_parent_store_keeps_its_totals;
   ]
