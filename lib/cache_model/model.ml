@@ -174,10 +174,13 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
       s
   in
   let cur = ref (stmt_state_make n_levels) in
-  let access ss addr is_write =
+  (* [access_from ss addr is_write i0] presents the access to levels
+     [i0..], level [i0] seeing it as a demand access when [i0 = 0] and
+     as a write passed down by a hit otherwise *)
+  let access_from ss addr is_write i0 =
     let c = ss.counts in
     (* write-through: level i+1 sees level i's misses and all writes *)
-    let i = ref 0 and missed = ref false in
+    let i = ref i0 and missed = ref false in
     while !i < n_levels && (!i = 0 || !missed || is_write) do
       let li = !i in
       let demand = li = 0 || !missed in
@@ -204,6 +207,24 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
       end
     done
   in
+  (* The L1 MRU fast path.  An access whose line is the MRU way of its L1
+     set is an L1 hit that moves no tag and touches no seen-bit: it bumps
+     level 0's presented, hits and demand_hits, ends there if it is a
+     read, and a write goes on down the write-through chain at level 1 as
+     after any hit.  A line is only ever held in its own set, so finding
+     it at way 0 proves the hit, provided [addr lsr shift] is the line:
+     power-of-two lines and [addr >= 0].  The path is on where
+     [line land mask] is also the set, a tag array with power-of-two
+     sets, and where level 0 is not the last level, which set sampling
+     thins; [mru_min] is [max_int] otherwise. *)
+  let mru_min, mru_shift, mru_mask, mru_ways, mru_tags =
+    let l1 = levels.(0) in
+    let shift = l1.line_div.Hwsim.Setassoc.shift and sets = l1.set_div in
+    match l1.resident with
+    | Tags tags when n_levels > 1 && shift >= 0 && sets.Hwsim.Setassoc.shift >= 0 ->
+      (0, shift, sets.Hwsim.Setassoc.mask, tags.Hwsim.Setassoc.ways, tags.Hwsim.Setassoc.tags)
+    | Tags _ | Full _ -> (max_int, 0, 0, 0, [||])
+  in
   let on_chunk buf len =
     let n_acc = ref 0 in
     for e = 0 to len - 1 do
@@ -211,7 +232,19 @@ let analyze ?(ctx = Engine.Ctx.none) ?(mode = Set_associative)
       let kind = code land 7 in
       if kind <= Trace.ev_write then begin
         incr n_acc;
-        access !cur (code asr 3) (kind = Trace.ev_write)
+        let addr = code asr 3 and is_write = kind = Trace.ev_write in
+        if addr >= mru_min then begin
+          let line = addr lsr mru_shift in
+          if Array.unsafe_get mru_tags ((line land mru_mask) * mru_ways) = line then begin
+            let c = !cur.counts in
+            bump c f_presented;
+            bump c f_hits;
+            bump c f_demand_hits;
+            if is_write then access_from !cur addr true 1
+          end
+          else access_from !cur addr is_write 0
+        end
+        else access_from !cur addr is_write 0
       end
       else if kind = Trace.ev_stmt then begin
         let k = code asr 3 in

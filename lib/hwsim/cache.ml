@@ -18,6 +18,16 @@ type level = {
 type t = {
   levels : level array;
   line_div : Setassoc.divisor;
+  (* level 0's MRU fast path (see [access_code]): addresses at or above
+     [mru_min] (0, or [max_int] when the path is off) index level 0 by
+     [addr lsr mru_shift land mru_mask]; the arrays are level 0's own *)
+  mru_min : int;
+  mru_shift : int;
+  mru_mask : int;
+  mru_ways : int;
+  mru_tags : int array;
+  mru_dirty : bool array;
+  mru_stats : level_stats;
   mutable dram_reads : int;
   mutable dram_wb : int;
 }
@@ -39,9 +49,22 @@ let create geoms =
   assert (geoms <> []);
   let line = (List.hd geoms).Machine.line_bytes in
   List.iter (fun g -> assert (g.Machine.line_bytes = line)) geoms;
+  let levels = Array.of_list (List.map make_level geoms) in
+  let l1 = levels.(0) and line_div = Setassoc.divisor line in
+  (* [addr lsr shift] is the line for power-of-two lines; the path is on
+     where [line land mask] is also its level-0 set: power-of-two sets,
+     plain modulo indexing *)
+  let fast = (not l1.fold) && line_div.Setassoc.shift >= 0 && l1.sets.Setassoc.shift >= 0 in
   {
-    levels = Array.of_list (List.map make_level geoms);
-    line_div = Setassoc.divisor line;
+    levels;
+    line_div;
+    mru_min = (if fast then 0 else max_int);
+    mru_shift = line_div.Setassoc.shift;
+    mru_mask = l1.sets.Setassoc.mask;
+    mru_ways = l1.core.Setassoc.ways;
+    mru_tags = l1.core.Setassoc.tags;
+    mru_dirty = l1.core.Setassoc.dirty;
+    mru_stats = l1.stats;
     dram_reads = 0;
     dram_wb = 0;
   }
@@ -64,7 +87,7 @@ let probe lvl line ~set_dirty =
     true
   end
 
-let access_code t ~addr ~is_write =
+let access_slow t ~addr ~is_write =
   let line = Setassoc.div t.line_div addr in
   let levels = t.levels in
   let n = Array.length levels in
@@ -106,6 +129,26 @@ let access_code t ~addr ~is_write =
     end
   done;
   (hit_level lsl 1) lor !wb
+
+(* An access whose line is already the MRU way of its level-0 set is a
+   level-0 hit that moves no tag: [probe] would find it at way 0, promote
+   nothing and set its dirty bit on a write, and no level needs a fill.
+   That is answered here with a load and a compare; every other access,
+   negative addresses included, takes [access_slow].  A line is only
+   ever held in its own set, and no address at or above 0 maps to the
+   empty tag [-1], so a match is that hit. *)
+let access_code t ~addr ~is_write =
+  if addr >= t.mru_min then begin
+    let line = addr lsr t.mru_shift in
+    let way0 = (line land t.mru_mask) * t.mru_ways in
+    if Array.unsafe_get t.mru_tags way0 = line then begin
+      if is_write then Array.unsafe_set t.mru_dirty way0 true;
+      t.mru_stats.hits <- t.mru_stats.hits + 1;
+      0
+    end
+    else access_slow t ~addr ~is_write
+  end
+  else access_slow t ~addr ~is_write
 
 let access t ~addr ~is_write =
   let code = access_code t ~addr ~is_write in

@@ -7,14 +7,31 @@
     ways hold the caller's [empty] tag.  Every operation takes the set
     index explicitly: the two callers index sets differently (plain modulo
     for the model, an XOR fold on large simulated LLCs), and both compute
-    it without an integer division through {!divisor}. *)
+    it without an integer division through {!divisor}.
+
+    The record {!t} is [private] so that a per-access kernel can answer a
+    hit on a set's MRU way with a load and a compare: [tags.(set * ways)]
+    is always the set's most recently used line (or [empty]), and a hit
+    there changes no tag order.  Code outside this module is compiled
+    against its interface only (dune's dev profile passes [-opaque]), so
+    none of the functions below inlines into a caller; reading the record
+    is the one way to skip a call.  Every tag and ordering change stays
+    in this module; the one write allowed outside it is setting the MRU
+    way's dirty bit after such a hit, which is exactly {!mark_dirty}. *)
 
 (** {1 Division-free indexing} *)
 
-type divisor
+type divisor = private {
+  d : int;
+  shift : int;  (** [log2 d] when [d] is a power of two, else [-1] *)
+  mask : int;  (** [d - 1] when [d] is a power of two *)
+  magic : int;
+  bits : int;  (** [\[0, 2^bits)] is the reciprocal's exact range *)
+}
 (** A positive divisor prepared for repeated division: a shift and a mask
     when it is a power of two, otherwise a reciprocal multiply with an
-    exact ±1 correction. *)
+    exact ±1 correction.  For [x >= 0] and [shift >= 0],
+    [x lsr shift = x / d] and [x land mask = x mod d]. *)
 
 val divisor : int -> divisor
 (** Raises [Invalid_argument] unless the divisor is positive. *)
@@ -34,7 +51,16 @@ val fold_index : divisor -> int -> int
 
 (** {1 Tag arrays} *)
 
-type t
+type t = private {
+  sets : int;
+  ways : int;
+  empty : int;
+  tags : int array;
+      (** [sets × ways], MRU first within a set: [tags.(set * ways)] is
+          the set's MRU line *)
+  dirty : bool array;  (** parallel to [tags]; [[||]] without dirty bits *)
+  mutable vdirty : bool;  (** the last victim's dirty bit *)
+}
 
 val create : sets:int -> ways:int -> empty:int -> dirty:bool -> t
 (** All ways hold [empty]; [dirty] allocates the dirty bits. *)

@@ -220,6 +220,119 @@ let test_below_by_less_than_a_line () =
         s.Poly_ir.Trace.below_layout)
     Workloads.all
 
+(* ---------- high-locality programs: the L1 MRU fast path ---------- *)
+
+let with_caches (m : Hwsim.Machine.t) name caches = { m with Hwsim.Machine.name; caches }
+
+let l1_of (m : Hwsim.Machine.t) = List.hd m.Hwsim.Machine.caches
+
+(* machines on which [Model.analyze]'s fast path is off: a
+   non-power-of-two L1 set count (3 sets), a one-level hierarchy, whose
+   one level is the one set sampling thins, and 48-byte lines (the one
+   that would make the path wrong); [tiny3] has it on with a third level
+   below the write-through chain *)
+let odd_sets =
+  with_caches tiny "ODD"
+    ({ (l1_of tiny) with Hwsim.Machine.size_bytes = 3 * 2 * 64 } :: List.tl tiny.Hwsim.Machine.caches)
+
+let one_level = with_caches tiny "ONE" [ l1_of tiny ]
+
+let line48 =
+  with_caches tiny "LINE48"
+    (List.map
+       (fun (g : Hwsim.Machine.cache_geometry) ->
+         { g with Hwsim.Machine.line_bytes = 48; size_bytes = g.Hwsim.Machine.size_bytes / 64 * 48 })
+       tiny.Hwsim.Machine.caches)
+
+let tiny3 =
+  with_caches tiny "TINY3"
+    (tiny.Hwsim.Machine.caches
+    @ [ { (l1_of tiny) with Hwsim.Machine.level_name = "L3"; size_bytes = 8192; assoc = 8 } ])
+
+(* Each program repeats lines: same-line runs at strides 4/8/16 (f32,
+   f64, every other f64) with a write to the line just read; a
+   read-modify-write sweep whose lines a second sweep evicts; reads and
+   writes alternating on two lines [d] elements apart, one L1 set apart
+   when [d * 8] is the L1's sets × line; and the below-layout programs,
+   less than a line and 40 elements below.  Sizes are (n, d). *)
+let local_programs =
+  [
+    ( "same-line runs",
+      {|
+program runs(n) {
+  arrays { A[n] : f32; B[n] : f64; C[2 * n] : f64; }
+  for (i = 0; i < n; i++) {
+    A[i] = A[i] + B[i] + C[2 * i];
+    B[i] = B[i] * 2.0;
+  }
+}
+|},
+      [ (40, 0); (300, 0) ] );
+    ( "write after read, then evicted",
+      {|
+program rmw(n, d) {
+  arrays { x[n] : f64; y[d] : f64; s[1] : f64; }
+  for (t = 0; t < 3; t++) {
+    for (i = 0; i < n; i++) {
+      x[i] = x[i] * 2.0;
+    }
+    for (j = 0; j < d; j++) {
+      s[0] = s[0] + y[j];
+    }
+  }
+}
+|},
+      [ (16, 64); (64, 600); (512, 4096) ] );
+    ( "alternating on two lines of one set",
+      {|
+program pingpong(n, d) {
+  arrays { A[n + d] : f64; }
+  for (i = 0; i < n; i++) {
+    A[i] = A[i + d] + 1.0;
+    A[i + d] = A[i] * 2.0;
+  }
+}
+|},
+      [ (24, 32); (24, 48); (40, 256); (40, 384) ] );
+    ("below by less than a line", below_by_one_src, [ (64, 0) ]);
+    ("below by 40 elements", below_src, [ (64, 0) ]);
+  ]
+
+let test_local_programs () =
+  let machines =
+    [ (Hwsim.Machine.bdw, [ 1; 4 ]); (Hwsim.Machine.rpl, [ 1; 4 ]); (tiny, [ 1; 2 ]);
+      (tiny3, [ 1; 2 ]); (odd_sets, [ 1; 2 ]); (one_level, [ 1; 2; 4 ]); (line48, [ 1; 2 ]) ]
+  in
+  List.iter
+    (fun (label, src, sizes) ->
+      let prog = Polylang.parse src in
+      List.iter
+        (fun (n, d) ->
+          let param_values =
+            List.map (fun p -> (p, if p = "d" then d else n)) prog.Poly_ir.Ir.params
+          in
+          List.iter
+            (fun ((machine : Hwsim.Machine.t), samplings) ->
+              List.iter
+                (fun (mname, mode) ->
+                  List.iter
+                    (fun set_sampling ->
+                      match compare_models ~mode ~set_sampling ~machine prog ~param_values with
+                      | None -> ()
+                      | Some diff ->
+                        Alcotest.failf "%s, n=%d d=%d on %s (%s, sampling %d): %s" label n d
+                          machine.Hwsim.Machine.name mname set_sampling diff)
+                    samplings)
+                modes)
+            machines)
+        sizes)
+    local_programs;
+  (* the fast path leaves a negative address to the checked path *)
+  match Model.analyze ~machine:Hwsim.Machine.rpl (Polylang.parse below_by_one_src)
+          ~param_values:[ ("n", 64) ] with
+  | _ -> Alcotest.fail "byte -8 must be rejected"
+  | exception Invalid_argument m -> Alcotest.(check string) "bounds error" "index out of bounds" m
+
 (* ---------- random affine loop nests ---------- *)
 
 (* A random 1–3 deep nest over parameter n.  Lower bounds are 0 or an
@@ -311,5 +424,7 @@ let tests =
       test_out_of_layout;
     Alcotest.test_case "an access less than a line below the layout" `Quick
       test_below_by_less_than_a_line;
+    Alcotest.test_case "high-locality programs x fast path on/off == oracle" `Quick
+      test_local_programs;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) qcheck_tests

@@ -249,8 +249,8 @@ let arb_stream =
         (match s with (a, w) :: _ -> Printf.sprintf "%d%s" a (if w then "w" else "") | [] -> "-"))
     QCheck.Gen.(pair (int_range 0 (List.length all_geometries - 1)) gen_stream)
 
-let cache_matches (g, stream) =
-  let geoms = List.nth all_geometries g in
+let cache_matches_on geometries (g, stream) =
+  let geoms = List.nth geometries g in
   let ours = Cache.create geoms and oracle = Cache_oracle.create geoms in
   let rec go i = function
     | [] -> true
@@ -269,6 +269,94 @@ let cache_matches (g, stream) =
   && Cache.dram_reads ours = Cache_oracle.dram_reads oracle
   && Cache.dram_writebacks ours = Cache_oracle.dram_writebacks oracle
   && Cache.flush_writebacks ours = Cache_oracle.flush_writebacks oracle
+
+(* ---------- high-locality streams: the level-0 MRU fast path ---------- *)
+
+let geom name ~size ~line ~assoc =
+  { Machine.level_name = name; size_bytes = size; line_bytes = line; assoc; hit_latency_ns = 1.0 }
+
+(* hierarchies on which [Cache.access_code]'s fast path is off: a
+   non-power-of-two level-0 set count (48), a non-power-of-two line
+   (48 B, the one that would make the path wrong) and an XOR-folded
+   level 0 (1024 sets) *)
+let off_geometries =
+  [
+    [ geom "L1" ~size:(48 * 64 * 2) ~line:64 ~assoc:2; geom "L2" ~size:(256 * 64 * 4) ~line:64 ~assoc:4 ];
+    [ geom "L1" ~size:(32 * 48 * 4) ~line:48 ~assoc:4; geom "L2" ~size:(256 * 48 * 8) ~line:48 ~assoc:8 ];
+    [ geom "L1" ~size:(1024 * 64 * 2) ~line:64 ~assoc:2; geom "LLC" ~size:(2048 * 64 * 4) ~line:64 ~assoc:4 ];
+    [ geom "L1" ~size:(1024 * 64 * 2) ~line:64 ~assoc:2 ];
+  ]
+
+(* the path on, and lines reaching DRAM within a few hundred accesses *)
+let tiny_geometry = [ geom "L1" ~size:512 ~line:64 ~assoc:2; geom "LLC" ~size:2048 ~line:64 ~assoc:4 ]
+
+let local_geometries = all_geometries @ off_geometries @ [ tiny_geometry ]
+
+(* Segments that repeat a line: same-line runs at strides 4/8/16, a read
+   then a write of one line followed by enough same-set lines to evict
+   it, and reads and writes alternating on two lines of one level-0 set;
+   bases include lines below 0 and addresses less than a line below 0. *)
+let gen_local_stream (geoms : Machine.cache_geometry list) =
+  let l1 = List.hd geoms in
+  let line = l1.Machine.line_bytes and ways = l1.Machine.assoc in
+  (* the distance between two lines of one plain-modulo level-0 set *)
+  let same_set = l1.Machine.size_bytes / ways in
+  QCheck.Gen.(
+    let base =
+      frequency
+        [
+          (6, map (fun k -> k * line) (int_range 0 4096));
+          (2, map (fun k -> (k * line) + (line / 2)) (int_range 0 4096));
+          (1, int_range (-line + 1) (-1));
+          (1, map (fun k -> k * line) (int_range (-64) (-1)));
+        ]
+    in
+    let run =
+      let* b = base and* stride = oneofl [ 4; 8; 16 ] and* len = int_range 1 (3 * line / 4) in
+      let* writes = list_size (return len) (frequency [ (3, return false); (1, return true) ]) in
+      return (List.mapi (fun j w -> (b + (j * stride), w)) writes)
+    in
+    let evict =
+      let* a = base and* extra = int_range 1 (ways + 2) in
+      return ([ (a, false); (a, true); (a + 8, false) ] @ List.init (ways + extra) (fun j -> (a + ((j + 1) * same_set), false)))
+    in
+    let pingpong =
+      let* a = base and* len = int_range 2 40 in
+      let* writes = list_size (return len) bool in
+      return (List.mapi (fun j w -> ((if j land 1 = 0 then a else a + same_set), w)) writes)
+    in
+    map List.concat (list_size (int_range 1 60) (frequency [ (3, run); (2, evict); (2, pingpong) ])))
+
+let arb_local_stream =
+  QCheck.make
+    ~print:(fun (g, s) ->
+      Printf.sprintf "local geometry %d, %d accesses: %s" g (List.length s)
+        (String.concat " "
+           (List.map (fun (a, w) -> Printf.sprintf "%d%s" a (if w then "w" else "")) s)))
+    QCheck.Gen.(
+      let* g = int_range 0 (List.length local_geometries - 1) in
+      let* s = gen_local_stream (List.nth local_geometries g) in
+      return (g, s))
+
+(* a read then a write of one line, then its eviction from every level
+   of a tiny hierarchy: the dirty bit set by the level-0 hit must come
+   back as writebacks, level by level and to DRAM *)
+let test_mru_write_evicted () =
+  let ours = Cache.create tiny_geometry and oracle = Cache_oracle.create tiny_geometry in
+  let both addr is_write =
+    ignore (Cache.access ours ~addr ~is_write);
+    ignore (Cache_oracle.access oracle ~addr ~is_write)
+  in
+  both 0 false;
+  both 8 true;
+  (* line 0 is MRU of set 0; 8 more lines of set 0 flood both levels *)
+  for j = 1 to 8 do
+    both (j * 4096) false
+  done;
+  Alcotest.(check int) "one DRAM writeback" 1 (Cache.dram_writebacks ours);
+  Alcotest.(check bool) "stats == oracle" true (Cache.stats ours = Cache_oracle.stats oracle);
+  Alcotest.(check int) "DRAM writebacks == oracle" (Cache_oracle.dram_writebacks oracle)
+    (Cache.dram_writebacks ours)
 
 (* ---------- division-free set indexing ---------- *)
 
@@ -319,7 +407,10 @@ let index_matches (n, x) =
 let qcheck_core =
   [
     QCheck.Test.make ~name:"Hwsim.Cache == Cache_oracle on random streams, every geometry"
-      ~count:300 arb_stream cache_matches;
+      ~count:300 arb_stream (cache_matches_on all_geometries);
+    QCheck.Test.make
+      ~name:"Hwsim.Cache == Cache_oracle on high-locality streams, fast path on and off"
+      ~count:300 arb_local_stream (cache_matches_on local_geometries);
     QCheck.Test.make ~name:"Setassoc index == mod, / and the old XOR fold" ~count:5000
       (QCheck.make ~print:(fun (n, x) -> Printf.sprintf "n=%d x=%d" n x) gen_index)
       index_matches;
@@ -332,5 +423,7 @@ let tests =
     Alcotest.test_case "strided, guarded, zero-trip, min/max, out-of-layout" `Quick
       test_cases;
     Alcotest.test_case "one reusable chunk, full but the last" `Quick test_chunks;
+    Alcotest.test_case "a write hit on the MRU line is written back" `Quick
+      test_mru_write_evicted;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~verbose:false) (qcheck_tests @ qcheck_core)
